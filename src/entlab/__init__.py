@@ -22,7 +22,8 @@ from .channels import (ChannelDiagnostics, EvolutionReport, Outcome,
                        SeparableKrausOperator, apply, apply_kraus,
                        channel_from_json, channel_to_json, decay_factor,
                        embed_one_sided, is_random_unitary, outcomes,
-                       tensor_channels, validate, verify_evolution)
+                       state_from_json, state_to_json, tensor_channels,
+                       validate, verify_evolution)
 from .erf import (ErfBounds, ErfEstimate, MixingSearchOptions,
                   TensorBoundReport, erf_bounds, erf_minimize,
                   nearest_product_operator, tensor_bound_check)

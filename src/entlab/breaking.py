@@ -3,22 +3,24 @@
 Exact separability statements are confined to where the positive partial
 transpose criterion is decisive (2x2 and 2x3); everywhere else the module
 emits certified upper bounds (a found decomposition) or explicit not-found
-results, never an unproved negative.
+results, never an unproved negative.  The Schmidt-number certificate runs the
+convex-roof solver's ensemble search (:mod:`entlab.roof`) on a Schmidt-tail
+objective.
 """
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
+from functools import partial
 
 import numpy as np
 
-from .channels import apply_kraus
+from .channels import apply, embed_one_sided
 from .families import max_entangled_state
-from .linalg import (DensityMatrix, LocalDims, PureState, as_complex_matrix,
+from .linalg import (DensityMatrix, PureState, as_complex_matrix,
                      partial_transpose, schmidt_decompose)
-from .sampling import RandomStream, as_generator, random_isometry, random_pure_state
-from .stiefel import minimize_on_stiefel
+from .roof import _eigenbasis, _ensemble_search
+from .sampling import RandomStream, as_generator, random_pure_state
 
 PPT_EIGENVALUE_TOL = -1e-10
 FULL_RANK_COEFF = 1e-4
@@ -30,16 +32,14 @@ PROBE_REDRAWS = 100
 class SchmidtReport:
     """Schmidt evidence for one state.
 
-    ``method`` is one of 'exact-pure', 'ppt-2x2', 'ppt-2x3' or 'roof-search'.
-    Pure states carry an exact ``rank``; mixed states carry either an exact
-    separability verdict (small dims) or a certified ``number_upper``.
+    ``method`` is one of 'ppt-2x2', 'ppt-2x3' or 'roof-search'.  A report
+    carries either an exact separability verdict (small dims) or a certified
+    ``number_upper``.
     """
 
     method: str
-    rank: int | None = None
     number_upper: int | None = None
     separable: bool | None = None
-    coefficients: tuple[float, ...] = ()
 
 
 def schmidt_rank(psi: PureState, cut, tol: float = 1e-8) -> int:
@@ -87,37 +87,9 @@ class SchmidtSearchOptions:
     seed: int = 0
 
 
-def schmidt_number_upper(rho: DensityMatrix, target: int,
-                         opts: SchmidtSearchOptions = SchmidtSearchOptions()
-                         ) -> SchmidtNumberCertificate:
-    """Search for an ensemble whose members all have Schmidt rank <= target.
-
-    Ensembles are parametrized by isometries on the eigendecomposition of
-    rho, as in the convex-roof solver; the objective is the summed squared
-    Schmidt tail beyond index ``target`` of every unnormalized member.  A
-    decomposition counts as a certificate when every member's normalized
-    coefficients beyond the target are below 1e-6.
-    """
-    if rho.dims.n_parties != 2:
-        raise ValueError("Schmidt number needs a bipartite state")
-    d_a, d_b = rho.dims.dims
-    if target < 1:
-        raise ValueError("target rank must be >= 1")
-    if target >= min(d_a, d_b):
-        # every state trivially satisfies SN <= min(dA, dB)
-        lam, vecs = np.linalg.eigh(rho.mat)
-        keep = lam > 1e-12
-        ens = tuple((float(l), PureState(vecs[:, i], rho.dims))
-                    for i, l in enumerate(lam) if keep[i])
-        return SchmidtNumberCertificate(True, target, 0.0, ens)
-
-    lam, vecs = np.linalg.eigh(rho.mat)
-    keep = lam > 1e-12 * max(1.0, lam[-1])
-    lam = lam[keep]
-    vecs = vecs[:, keep]
-    rank = lam.size
-    m = opts.ensemble_size if opts.ensemble_size is not None else max(rank * rank, target * rank)
-    basis = np.sqrt(lam)[:, None] * vecs.T
+def _tail_objective(basis: np.ndarray, target: int, d_a: int, d_b: int):
+    """Summed squared Schmidt tail beyond index ``target`` of the members
+    ``v @ basis``, and its gradient in the mixing isometry v."""
     basis_h = basis.conj().T
 
     def fun(v, need_grad):
@@ -137,32 +109,44 @@ def schmidt_number_upper(rho: DensityMatrix, target: int,
             return value, None
         return value, w @ basis_h
 
-    stream = RandomStream(opts.seed)
-    best = None
-    for r in range(max(1, opts.restarts)):
-        v0 = random_isometry(m, rank, stream.child(r))
-        res = minimize_on_stiefel(fun, v0, max_iterations=opts.max_iterations,
-                                  gradient_tolerance=1e-10)
-        if best is None or res.value < best.value:
-            best = res
-        if best.value < 1e-16:
-            break
+    return fun
 
-    states = best.point @ basis
-    weights = np.einsum("ij,ij->i", states, states.conj()).real
+
+def schmidt_number_upper(rho: DensityMatrix, target: int,
+                         opts: SchmidtSearchOptions = SchmidtSearchOptions()
+                         ) -> SchmidtNumberCertificate:
+    """Search for an ensemble whose members all have Schmidt rank <= target.
+
+    Runs the convex-roof ensemble search with the summed squared Schmidt
+    tail beyond index ``target`` of every unnormalized member as objective,
+    stopping once a restart drives it below 1e-16.  A decomposition counts
+    as a certificate when every member's normalized coefficients beyond the
+    target are below 1e-6.
+    """
+    if rho.dims.n_parties != 2:
+        raise ValueError("Schmidt number needs a bipartite state")
+    d_a, d_b = rho.dims.dims
+    if target < 1:
+        raise ValueError("target rank must be >= 1")
+    if target >= min(d_a, d_b):
+        # every state trivially satisfies SN <= min(dA, dB)
+        lam, vecs = _eigenbasis(rho)
+        ens = tuple((float(l), PureState(v, rho.dims)) for l, v in zip(lam, vecs.T))
+        return SchmidtNumberCertificate(True, target, 0.0, ens)
+
+    stage = (partial(_tail_objective, target=target, d_a=d_a, d_b=d_b),
+             opts.max_iterations)
+    result = _ensemble_search(rho, [stage], opts, 1e-10, target=target,
+                              stop_below=1e-16)
+
     max_tail = 0.0
-    ensemble = []
-    for w, s in zip(weights, states):
-        if w <= 1e-14:
-            continue
-        member = PureState(s / np.sqrt(w), rho.dims)
+    for _, member in result.ensemble:
         coeffs = schmidt_decompose(member, (0,)).coeffs
         if coeffs.size > target:
             max_tail = max(max_tail, float(coeffs[target]))
-        ensemble.append((float(w), member))
     found = max_tail < TAIL_COEFF_TOL
     return SchmidtNumberCertificate(found, target, max_tail,
-                                    tuple(ensemble) if found else ())
+                                    result.ensemble if found else ())
 
 
 # ---------------------------------------------------------------------------
@@ -197,14 +181,6 @@ def _full_rank_probe(d: int, rng) -> PureState:
     raise RuntimeError(f"no full-Schmidt-rank probe found in {PROBE_REDRAWS} draws")
 
 
-def _extended_output(local_ops, probe: PureState, d: int) -> DensityMatrix:
-    """(Phi x I) applied to a probe on the d x d doubled space."""
-    eye = np.eye(d, dtype=np.complex128)
-    ops = [np.kron(as_complex_matrix(k, d, d), eye) for k in local_ops]
-    out = apply_kraus(ops, probe.density().mat)
-    return DensityMatrix(out, LocalDims((d, d)))
-
-
 def _probe_verdict(out: DensityMatrix, target: int,
                    opts: SchmidtSearchOptions) -> tuple[SchmidtReport, bool | None]:
     d_a, d_b = out.dims.dims
@@ -233,22 +209,16 @@ def r_peb_test(local_ops, target: int, probes: int = 20,
     agree, and any divergence is flagged.  Exact verdicts exist for d=2,
     target=1; elsewhere evidence is certificate-based.
     """
-    local_ops = [as_complex_matrix(k) for k in local_ops]
-    d = local_ops[0].shape[0]
-    acc = sum(k.conj().T @ k for k in local_ops)
-    if np.linalg.norm(acc - np.eye(d)) >= 1e-10:
-        raise ValueError("local Kraus list does not close")
+    d = as_complex_matrix(local_ops[0]).shape[0]
+    # (Phi x I) on the d x d doubled space; raises if the local list does not close
+    extended = embed_one_sided(local_ops, 0, (d, d))
     opts = search_opts if search_opts is not None else SchmidtSearchOptions(seed=seed)
 
     stream = RandomStream(seed)
     verdicts = []
-    out = _extended_output(local_ops, max_entangled_state(d), d)
-    report, flag = _probe_verdict(out, target, opts)
-    verdicts.append(ProbeVerdict(-1, report, flag))
-    for i in range(probes):
-        probe = _full_rank_probe(d, stream.child(i))
-        out = _extended_output(local_ops, probe, d)
-        report, flag = _probe_verdict(out, target, opts)
+    for i in range(-1, probes):
+        probe = max_entangled_state(d) if i < 0 else _full_rank_probe(d, stream.child(i))
+        report, flag = _probe_verdict(apply(extended, probe.density()), target, opts)
         verdicts.append(ProbeVerdict(i, report, flag))
 
     reference = verdicts[0].breaking

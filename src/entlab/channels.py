@@ -4,7 +4,8 @@ A separable channel stores each Kraus operator as one square factor per
 party; the joint operator is the tensor product of the factors.  The decay
 factor ``sum_m prod_i |det K_m^(i)|**(2/d_i)`` ties the average output
 entanglement of any SL-invariant measure to the input entanglement, and
-``verify_evolution`` checks that identity outcome by outcome.
+``verify_evolution`` checks that identity outcome by outcome.  The module also
+holds the JSON forms of channels and states.
 
 Channels and reports are immutable values; verification over batches of
 (channel, state) pairs parallelizes trivially.
@@ -13,14 +14,14 @@ Channels and reports are immutable values; verification over batches of
 from __future__ import annotations
 
 import itertools
-import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
 from .linalg import (DensityMatrix, LocalDims, PureState, _as_local_dims,
                      as_complex_matrix, kron_all)
-from .measures import Measure, measure_pure, measure_unnormalized, wootters_concurrence
+from .measures import Measure, measure_pure, measure_unnormalized
+from .roof import RoofOptions, convex_roof
 
 CLOSURE_TOL = 1e-10
 NULL_OUTCOME_TOL = 1e-12
@@ -139,14 +140,18 @@ class EvolutionReport:
     exact: bool
 
 
+def _closure_residual(ops, d: int) -> float:
+    """Frobenius norm of ``sum_k K_k^dag K_k - I`` on dimension d."""
+    acc = np.zeros((d, d), dtype=np.complex128)
+    for k in ops:
+        acc += k.conj().T @ k
+    return float(np.linalg.norm(acc - np.eye(d)))
+
+
 def validate(channel: SeparableChannel) -> ChannelDiagnostics:
     """Closure diagnostics; a channel is accepted iff the Frobenius residual
     of ``sum_m K_m^dag K_m - I`` is below 1e-10."""
-    d = channel.dims.total
-    acc = np.zeros((d, d), dtype=np.complex128)
-    for j in channel.joint_ops:
-        acc += j.conj().T @ j
-    residual = float(np.linalg.norm(acc - np.eye(d)))
+    residual = _closure_residual(channel.joint_ops, channel.dims.total)
     issues = ()
     if residual >= CLOSURE_TOL:
         issues = (f"closure residual {residual:.3e} exceeds {CLOSURE_TOL:.0e}",)
@@ -193,23 +198,20 @@ def decay_factor(channel: SeparableChannel) -> float:
 
 
 def _mixed_entanglement(measure: Measure, rho: DensityMatrix, roof_opts):
-    """Mixed-state value and whether it is exact (Wootters) or a roof estimate."""
-    if measure.name == "concurrence" and rho.dims.dims == (2, 2):
-        return wootters_concurrence(rho), True
-    from .roof import RoofOptions, convex_roof
+    """Mixed-state value and whether it is exact (the measure's own oracle)
+    or a convex-roof estimate."""
+    if measure.exact_mixed is not None:
+        return measure.exact_mixed(rho), True
     opts = roof_opts if roof_opts is not None else RoofOptions()
     return convex_roof(measure, rho, opts).value, False
 
 
-def verify_evolution(channel: SeparableChannel, rho, measure: Measure,
-                     roof_opts=None) -> EvolutionReport:
-    """Check p_m E(sigma_m) = prod_i |det K_m^(i)|**(2/d_i) * E(rho) per outcome.
+def _branch_entanglement(channel: SeparableChannel, rho, measure: Measure,
+                         roof_opts):
+    """``(E(rho), [p_m E(sigma_m)], their sum, whether every value is exact)``.
 
-    ``rho`` may be a PureState (exact for every compatible measure) or a
-    DensityMatrix (exact only with the two-qubit Wootters oracle; any other
-    mixed evaluation is a roof upper estimate and the report is flagged
-    ``exact=False``).  Raises if the input entanglement vanishes, since the
-    identity presumes a nonzero denominator.
+    Branches with p_m <= 1e-12 contribute zero.  Raises if E(rho) <= 1e-8:
+    the evolution identity and the resilience witnesses both divide by it.
     """
     measure.check_dims(channel.dims)
     pure = isinstance(rho, PureState)
@@ -226,25 +228,39 @@ def verify_evolution(channel: SeparableChannel, rho, measure: Measure,
             "nonzero input value"
         )
 
-    residuals = []
-    total = 0.0
-    for op, joint in zip(channel.ops, channel.joint_ops):
-        weight = op.det_weight()
-        if pure:
+    values = []
+    if pure:
+        for joint in channel.joint_ops:
             branch = PureState(joint @ rho.amps, rho.dims)
-            lhs = measure_unnormalized(measure, branch) if branch.weight > NULL_OUTCOME_TOL else 0.0
-        else:
-            mat = joint @ rho.mat @ joint.conj().T
-            p = float(np.trace(mat).real)
-            if p > NULL_OUTCOME_TOL:
-                value, branch_exact = _mixed_entanglement(
-                    measure, DensityMatrix(mat / p, rho.dims), roof_opts)
-                exact = exact and branch_exact
-                lhs = p * value
-            else:
-                lhs = 0.0
+            values.append(measure_unnormalized(measure, branch)
+                          if branch.weight > NULL_OUTCOME_TOL else 0.0)
+    else:
+        for outcome in outcomes(channel, rho).outcomes:
+            if outcome.state is None:
+                values.append(0.0)
+                continue
+            value, branch_exact = _mixed_entanglement(measure, outcome.state, roof_opts)
+            exact = exact and branch_exact
+            values.append(outcome.probability * value)
+    total = 0.0  # a plain running sum: sum() compensates on Python >= 3.12
+    for lhs in values:
         total += lhs
-        residuals.append(abs(lhs - weight * e_in))
+    return e_in, values, total, exact
+
+
+def verify_evolution(channel: SeparableChannel, rho, measure: Measure,
+                     roof_opts=None) -> EvolutionReport:
+    """Check p_m E(sigma_m) = prod_i |det K_m^(i)|**(2/d_i) * E(rho) per outcome.
+
+    ``rho`` may be a PureState (exact for every compatible measure) or a
+    DensityMatrix (exact only with the measure's exact mixed-state oracle;
+    any other mixed evaluation is a roof upper estimate and the report is
+    flagged ``exact=False``).  Raises if the input entanglement vanishes,
+    since the identity presumes a nonzero denominator.
+    """
+    e_in, values, total, exact = _branch_entanglement(channel, rho, measure, roof_opts)
+    residuals = [abs(lhs - op.det_weight() * e_in)
+                 for op, lhs in zip(channel.ops, values)]
 
     decay = decay_factor(channel)
     return EvolutionReport(
@@ -279,8 +295,7 @@ def embed_one_sided(local_ops, party: int, dims) -> SeparableChannel:
         raise ValueError(f"party {party} out of range for {dims.n_parties} parties")
     d = dims[party]
     local = [as_complex_matrix(k, d, d) for k in local_ops]
-    acc = sum(k.conj().T @ k for k in local)
-    residual = float(np.linalg.norm(acc - np.eye(d)))
+    residual = _closure_residual(local, d)
     if residual >= CLOSURE_TOL:
         raise ValueError(
             f"local Kraus list does not close on dimension {d}: residual {residual:.3e}"
@@ -325,6 +340,30 @@ def _matrix_from_json(rows) -> np.ndarray:
     except (TypeError, IndexError) as exc:
         raise ValueError(f"malformed matrix entry: {exc}") from exc
     return as_complex_matrix(m)
+
+
+def state_to_json(state) -> dict:
+    """Dict form of a pure state (amplitude list) or a density matrix."""
+    if isinstance(state, PureState):
+        return {"dims": list(state.dims.dims), "type": "pure",
+                "data": _matrix_to_json(state.amps[None, :])[0]}
+    if isinstance(state, DensityMatrix):
+        return {"dims": list(state.dims.dims), "type": "mixed",
+                "data": _matrix_to_json(state.mat)}
+    raise ValueError(f"cannot serialize {type(state)!r} as a state")
+
+
+def state_from_json(data: dict):
+    """Parse the dict form produced by :func:`state_to_json`."""
+    if not isinstance(data, dict) or not {"dims", "type", "data"} <= data.keys():
+        raise ValueError("state JSON needs 'dims', 'type' and 'data' keys")
+    dims = LocalDims(tuple(int(d) for d in data["dims"]))
+    kind = data["type"]
+    if kind == "pure":
+        return PureState(_matrix_from_json([data["data"]])[0], dims)
+    if kind == "mixed":
+        return DensityMatrix(_matrix_from_json(data["data"]), dims)
+    raise ValueError(f"unknown state type {kind!r}")
 
 
 def channel_to_json(channel: SeparableChannel) -> dict:

@@ -24,45 +24,19 @@ import numpy as np
 
 from . import __version__
 from .breaking import eb_threshold_scan, r_peb_test
-from .channels import (SeparableChannel, channel_from_json, channel_to_json,
-                       decay_factor, is_random_unitary, validate,
+from .channels import (SeparableChannel, channel_from_json, decay_factor,
+                       is_random_unitary, state_from_json, validate,
                        verify_evolution)
 from .erf import MixingSearchOptions, erf_bounds, erf_minimize
 from .families import (CHANNEL_FAMILIES, LOCAL_FAMILIES, STATE_FAMILIES,
                        random_separable_channel)
-from .linalg import DensityMatrix, LocalDims, PureState
+from .linalg import LocalDims, PureState
 from .measures import (Measure, concurrence, g_concurrence, measure_pure,
-                       sqrt_three_tangle, wootters_concurrence)
+                       sqrt_three_tangle)
 from .roof import RoofOptions, convex_roof
 from .sampling import RandomStream, random_density, random_pure_state
 
 THREAD_ENV = "ENTLAB_THREADS"
-
-
-# --- state JSON schema -------------------------------------------------------
-
-def state_to_json(state) -> dict:
-    if isinstance(state, PureState):
-        data = [[float(z.real), float(z.imag)] for z in state.amps]
-        return {"dims": list(state.dims.dims), "type": "pure", "data": data}
-    if isinstance(state, DensityMatrix):
-        data = [[[float(z.real), float(z.imag)] for z in row] for row in state.mat]
-        return {"dims": list(state.dims.dims), "type": "mixed", "data": data}
-    raise ValueError(f"cannot serialize {type(state)!r} as a state")
-
-
-def state_from_json(data: dict):
-    if not isinstance(data, dict) or "dims" not in data or "type" not in data:
-        raise ValueError("state JSON needs 'dims', 'type' and 'data' keys")
-    dims = LocalDims(tuple(int(d) for d in data["dims"]))
-    kind = data["type"]
-    if kind == "pure":
-        amps = np.array([complex(e[0], e[1]) for e in data["data"]])
-        return PureState(amps, dims)
-    if kind == "mixed":
-        mat = np.array([[complex(e[0], e[1]) for e in row] for row in data["data"]])
-        return DensityMatrix(mat, dims)
-    raise ValueError(f"unknown state type {kind!r}")
 
 
 # --- shared helpers ----------------------------------------------------------
@@ -87,15 +61,14 @@ def _parse_range(text: str) -> list[float]:
 
 
 def _resolve_measure(name: str, dims: LocalDims) -> Measure:
-    if name == "concurrence":
-        return concurrence()
     if name == "g_concurrence":
         if dims.n_parties != 2 or dims[0] != dims[1]:
             raise ValueError("g_concurrence needs square bipartite dims")
         return g_concurrence(dims[0])
-    if name == "sqrt_three_tangle":
-        return sqrt_three_tangle()
-    raise ValueError(f"unknown measure {name!r}")
+    fixed = {"concurrence": concurrence, "sqrt_three_tangle": sqrt_three_tangle}
+    if name not in fixed:
+        raise ValueError(f"unknown measure {name!r}")
+    return fixed[name]()
 
 
 def _load_json(path: str) -> dict:
@@ -189,6 +162,11 @@ def cmd_verify(args):
     fixed_channel = _channel_from_args(args, dims)
     if fixed_channel is None and not args.random_channel:
         raise ValueError("verify needs --channel, --family or --random-channel")
+    if args.trials < 1:
+        raise ValueError(f"--trials must be >= 1, got {args.trials}")
+    if args.mixed and measure.exact_mixed is None:
+        raise ValueError(f"--mixed needs a measure with an exact mixed-state "
+                         f"value; {measure.name!r} has none")
     fixed_state = _state_from_args(args)
     stream = RandomStream(args.seed)
     tol_outcome = args.tol if args.tol is not None else (1e-8 if args.mixed else 1e-9)
@@ -206,7 +184,7 @@ def cmd_verify(args):
                 if args.mixed:
                     rank = int(gen.integers(1, dims.total + 1))
                     state = random_density(dims, rank, gen)
-                    if wootters_concurrence(state) > 1e-3:
+                    if measure.exact_mixed(state) > 1e-3:
                         break
                 else:
                     state = random_pure_state(dims, gen)
@@ -307,6 +285,8 @@ def cmd_roof(args):
         raise ValueError("roof needs --state or --state-family")
     if isinstance(state, PureState):
         state = state.density()
+    # the report echoes the dims the roof ran on, which the state fixes
+    args.dims = ",".join(str(d) for d in state.dims)
     measure = _resolve_measure(args.measure, state.dims)
     opts = RoofOptions(restarts=args.restarts,
                        max_iterations=args.max_iterations, seed=args.seed)
@@ -320,8 +300,8 @@ def cmd_roof(args):
         "ensemble_size": len(result.ensemble),
     }
     ok = result.converged
-    if measure.name == "concurrence" and state.dims.dims == (2, 2):
-        oracle = wootters_concurrence(state)
+    if measure.exact_mixed is not None:
+        oracle = measure.exact_mixed(state)
         summary["wootters"] = float(oracle)
         summary["oracle_deviation"] = float(abs(result.value - oracle))
         ok = ok and abs(result.value - oracle) < 1e-4
@@ -420,7 +400,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--state", help="state JSON file")
     p.add_argument("--state-family", help="named state family")
     p.add_argument("--mixed", action="store_true",
-                   help="draw mixed inputs (needs the Wootters oracle)")
+                   help="draw mixed inputs (needs a measure with an exact "
+                        "mixed-state value, e.g. concurrence)")
     p.add_argument("--measure", default="concurrence")
     p.add_argument("--trials", type=int, default=1)
     p.add_argument("--tol", type=float, default=None)

@@ -16,11 +16,11 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .channels import (SeparableChannel, apply_kraus, decay_factor,
-                       tensor_channels, _mixed_entanglement)
-from .linalg import (DensityMatrix, PureState, _as_local_dims,
-                     as_complex_matrix, kron_all)
-from .measures import Measure, _adjugate, measure_pure, measure_unnormalized
+from .channels import (SeparableChannel, SeparableKrausOperator,
+                       _branch_entanglement, _mixed_entanglement, apply,
+                       apply_kraus, tensor_channels)
+from .linalg import PureState, _as_local_dims, as_complex_matrix, kron_all
+from .measures import Measure, adjugate
 from .sampling import RandomStream, random_density, random_isometry
 from .stiefel import minimize_on_stiefel
 
@@ -175,47 +175,21 @@ class ErfEstimate:
     mixing_isometry: np.ndarray
     search_feasible: bool
     feasible_values: tuple[float, ...]
-    lower_bound: float | None = None
-    upper_bound: float | None = None
-    witness_state: object | None = None
 
 
 def _mix(ks: np.ndarray, u: np.ndarray) -> np.ndarray:
     return np.einsum("jm,mab->jab", u, ks)
 
 
-def _adjugate_stack(mats: np.ndarray) -> np.ndarray:
-    """Adjugates of a stack of square matrices (desk-scale sizes)."""
-    d = mats.shape[-1]
-    if d == 1:
-        return np.ones_like(mats)
-    if d == 2:
-        out = np.empty_like(mats)
-        out[:, 0, 0] = mats[:, 1, 1]
-        out[:, 1, 1] = mats[:, 0, 0]
-        out[:, 0, 1] = -mats[:, 0, 1]
-        out[:, 1, 0] = -mats[:, 1, 0]
-        return out
-    out = np.empty_like(mats)
-    for idx, m in enumerate(mats):
-        out[idx] = _adjugate(m)
-    return out
-
-
 def _representation_value(joints, dims, threshold: float):
     """Spec objective on projected product factors, plus feasibility data."""
     value = 0.0
     max_residual = 0.0
-    factor_lists = []
     for k in joints:
         factors, residual = nearest_product_operator(k, dims)
-        factor_lists.append(factors)
         max_residual = max(max_residual, residual)
-        w = 1.0
-        for f in factors:
-            w *= abs(np.linalg.det(f)) ** (2.0 / f.shape[0])
-        value += w
-    return value, max_residual, factor_lists, max_residual < threshold
+        value += SeparableKrausOperator(factors).det_weight()
+    return value, max_residual, max_residual < threshold
 
 
 def _search_objective(ks: np.ndarray, dims, weight: float):
@@ -241,7 +215,7 @@ def _search_objective(ks: np.ndarray, dims, weight: float):
         if need_grad:
             live = absdet > DET_ZERO
             if np.any(live):
-                adj = _adjugate_stack(kt[live])
+                adj = adjugate(kt[live])
                 coeff = (expo / 2.0) * absdet[live] ** (expo - 2.0) * dets[live]
                 grads[live] += coeff[:, None, None] * np.conj(np.transpose(adj, (0, 2, 1)))
 
@@ -298,8 +272,8 @@ def erf_minimize(channel: SeparableChannel,
             raise RuntimeError("Kraus mixing stopped preserving the channel")
 
     candidates = []  # (value, residual, isometry, from_search, feasible)
-    value0, res0, _, feas0 = _representation_value(channel.joint_ops, dims,
-                                                   opts.separability_threshold)
+    value0, res0, feas0 = _representation_value(channel.joint_ops, dims,
+                                                opts.separability_threshold)
     candidates.append((value0, res0, identity, False, feas0))
 
     starts = [random_isometry(j, m, stream.child(i)) for i in range(opts.restarts)]
@@ -312,7 +286,7 @@ def erf_minimize(channel: SeparableChannel,
                                       gradient_tolerance=1e-10,
                                       callback=assert_channel_preserved)
             u = res.point
-        value, residual, _, feasible = _representation_value(
+        value, residual, feasible = _representation_value(
             _mix(ks, u), dims, opts.separability_threshold)
         candidates.append((value, residual, u, True, feasible))
 
@@ -345,45 +319,15 @@ def erf_bounds(channel: SeparableChannel, rho, measure: Measure,
                roof_opts=None) -> ErfBounds:
     """Lower/upper witnesses E(L(rho))/E(rho) and sum_m p_m E(sigma_m)/E(rho).
 
-    Exact when every mixed evaluation uses the two-qubit Wootters formula;
-    otherwise the lower witness rests on a roof upper estimate and the pair
-    is flagged heuristic (``exact=False``).
+    Exact when every mixed evaluation uses the measure's exact mixed-state
+    oracle; otherwise the lower witness rests on a roof upper estimate and
+    the pair is flagged heuristic (``exact=False``).
     """
-    measure.check_dims(channel.dims)
-    pure = isinstance(rho, PureState)
-    exact = True
-    if pure:
-        if rho.dims.dims != channel.dims.dims:
-            raise ValueError("state dims do not match channel dims")
-        e_in = measure_pure(measure, rho)
-        rho_mat = rho.density()
-    else:
-        e_in, exact = _mixed_entanglement(measure, rho, roof_opts)
-        rho_mat = rho
-    if e_in <= 1e-8:
-        raise ValueError("input entanglement vanishes; witnesses are undefined")
-
-    from .channels import apply
-    out = apply(channel, rho_mat)
-    e_out, out_exact = _mixed_entanglement(measure, out, roof_opts)
-    exact = exact and out_exact
-
-    total = 0.0
-    for joint in channel.joint_ops:
-        if pure:
-            branch = PureState(joint @ rho.amps, rho.dims)
-            if branch.weight > 1e-12:
-                total += measure_unnormalized(measure, branch)
-        else:
-            mat = joint @ rho_mat.mat @ joint.conj().T
-            p = float(np.trace(mat).real)
-            if p > 1e-12:
-                val, branch_exact = _mixed_entanglement(
-                    measure, DensityMatrix(mat / p, rho.dims), roof_opts)
-                exact = exact and branch_exact
-                total += p * val
-
-    return ErfBounds(lower=e_out / e_in, upper=total / e_in, exact=exact)
+    e_in, _, total, exact = _branch_entanglement(channel, rho, measure, roof_opts)
+    rho_mat = rho.density() if isinstance(rho, PureState) else rho
+    e_out, out_exact = _mixed_entanglement(measure, apply(channel, rho_mat), roof_opts)
+    return ErfBounds(lower=e_out / e_in, upper=total / e_in,
+                     exact=exact and out_exact)
 
 
 @dataclass(frozen=True)

@@ -6,7 +6,7 @@ import math
 
 import numpy as np
 
-from .channels import SeparableChannel, SeparableKrausOperator
+from .channels import SeparableChannel, SeparableKrausOperator, embed_one_sided
 from .linalg import DensityMatrix, LocalDims, PureState, _as_local_dims
 from .measures import SIGMA_X, SIGMA_Y, SIGMA_Z
 from .sampling import as_generator, ginibre, random_haar_unitary
@@ -120,11 +120,6 @@ def bit_flip_correlated(p: float) -> SeparableChannel:
     return SeparableChannel(LocalDims((2, 2)), ops)
 
 
-def one_sided_channel(local_ops, party: int, dims) -> SeparableChannel:
-    from .channels import embed_one_sided
-    return embed_one_sided(local_ops, party, dims)
-
-
 def random_unitary_separable(dims, count: int, rng) -> SeparableChannel:
     """sqrt(p_m) U_m^(1) x ... x U_m^(n) with random weights and unitaries."""
     dims = _as_local_dims(dims)
@@ -138,19 +133,17 @@ def random_unitary_separable(dims, count: int, rng) -> SeparableChannel:
     return SeparableChannel(dims, tuple(ops))
 
 
-def correlated_separable_channel(dims, count: int, rng, *,
-                                 noisy_party: int | None = None,
-                                 singular: bool = False) -> SeparableChannel:
-    """Correlated separable channel: one party carries a genuine local
-    channel, the remaining parties see a different random unitary per branch.
+def _correlated_factors(dims, count: int, g, singular: bool = False
+                        ) -> list[list[np.ndarray]]:
+    """Factor lists of a correlated separable channel drawn from g: one party
+    carries a genuine local channel, the remaining parties see a different
+    random unitary per branch.
 
     Closure holds because the unitary factors drop out of K^dag K.  With
     ``singular=True`` the noisy party uses amplitude damping (padded with
     unitary branches), exercising zero-determinant Kraus operators.
     """
-    dims = _as_local_dims(dims)
-    g = as_generator(rng)
-    party = int(g.integers(dims.n_parties)) if noisy_party is None else noisy_party
+    party = int(g.integers(dims.n_parties))
     d = dims[party]
     if singular and d == 2 and count >= 2:
         gamma = float(g.uniform(0.2, 0.8))
@@ -161,12 +154,8 @@ def correlated_separable_channel(dims, count: int, rng, *,
             local = [a / math.sqrt(2.0), random_haar_unitary(d, g) @ a / math.sqrt(2.0)] + local
     else:
         local = random_local_kraus(d, count, g)
-    ops = []
-    for k in local:
-        factors = [random_haar_unitary(dims[i], g) if i != party else k
-                   for i in range(dims.n_parties)]
-        ops.append(SeparableKrausOperator(tuple(factors)))
-    return SeparableChannel(dims, tuple(ops))
+    return [[random_haar_unitary(dims[i], g) if i != party else k
+             for i in range(dims.n_parties)] for k in local]
 
 
 def random_separable_channel(dims, count: int, rng) -> SeparableChannel:
@@ -182,21 +171,18 @@ def random_separable_channel(dims, count: int, rng) -> SeparableChannel:
         raise ValueError("need at least one Kraus operator")
     style = g.integers(3)
     if style == 0 or count < 2:
-        return correlated_separable_channel(dims, count, g)
-    if style == 1:
-        return correlated_separable_channel(dims, count, g, singular=True)
-    n1 = int(g.integers(1, count))
-    lam = float(g.uniform(0.2, 0.8))
-    first = correlated_separable_channel(dims, n1, g)
-    second = correlated_separable_channel(dims, count - n1, g)
-    ops = []
-    for op in first.ops:
-        factors = (math.sqrt(lam) * op.factors[0],) + op.factors[1:]
-        ops.append(SeparableKrausOperator(factors))
-    for op in second.ops:
-        factors = (math.sqrt(1.0 - lam) * op.factors[0],) + op.factors[1:]
-        ops.append(SeparableKrausOperator(factors))
-    return SeparableChannel(dims, tuple(ops))
+        factor_lists = _correlated_factors(dims, count, g)
+    elif style == 1:
+        factor_lists = _correlated_factors(dims, count, g, singular=True)
+    else:
+        n1 = int(g.integers(1, count))
+        lam = float(g.uniform(0.2, 0.8))
+        factor_lists = []
+        for weight, part in ((lam, n1), (1.0 - lam, count - n1)):
+            for factors in _correlated_factors(dims, part, g):
+                factor_lists.append([math.sqrt(weight) * factors[0]] + factors[1:])
+    return SeparableChannel(dims, tuple(SeparableKrausOperator(tuple(f))
+                                        for f in factor_lists))
 
 
 # Registry used by the command-line harness: name -> (builder, kind).
@@ -204,11 +190,11 @@ def random_separable_channel(dims, count: int, rng) -> SeparableChannel:
 CHANNEL_FAMILIES = {
     "identity": lambda param=None, dims=(2, 2): identity_channel(dims),
     "bit-flip-correlated": lambda param=0.3, dims=(2, 2): bit_flip_correlated(param),
-    "depolarizing": lambda param=0.5, dims=(2, 2): one_sided_channel(
+    "depolarizing": lambda param=0.5, dims=(2, 2): embed_one_sided(
         depolarizing_kraus(param), 0, dims),
-    "amplitude-damping": lambda param=0.5, dims=(2, 2): one_sided_channel(
+    "amplitude-damping": lambda param=0.5, dims=(2, 2): embed_one_sided(
         amplitude_damping_kraus(param), 0, dims),
-    "phase-damping": lambda param=0.5, dims=(2, 2): one_sided_channel(
+    "phase-damping": lambda param=0.5, dims=(2, 2): embed_one_sided(
         phase_damping_kraus(param), 0, dims),
 }
 

@@ -9,7 +9,6 @@ evolution identities of the channel module exact.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 from typing import Callable
 
@@ -32,22 +31,21 @@ _FD_STEP = 1e-6
 class Measure:
     """An SL-invariant measure ``scale * |poly|**(2/degree)``.
 
-    ``poly`` maps an amplitude vector to a complex number and must be
-    homogeneous of ``degree`` in the amplitudes.  ``poly_grad`` returns the
-    holomorphic gradient of ``poly``; when absent it is approximated by
-    central finite differences.  The batch variants take an (m, D) stack of
-    amplitude rows; they exist so optimizers can evaluate whole ensembles in
-    one numpy call.
+    ``poly_batch`` maps an (m, D) stack of amplitude rows to the m values of
+    a polynomial homogeneous of ``degree`` in the amplitudes;
+    ``poly_grad_batch`` returns the holomorphic gradient of each row.  Both
+    work on whole stacks so optimizers can evaluate an ensemble in one numpy
+    call; a single state is a one-row stack.  ``exact_mixed``, when set,
+    gives the exact mixed-state value (the convex roof in closed form).
     """
 
     name: str
     dims: LocalDims
     degree: int
     scale: float
-    poly: Callable[[np.ndarray], complex]
-    poly_grad: Callable[[np.ndarray], np.ndarray] | None = None
-    poly_batch: Callable[[np.ndarray], np.ndarray] | None = None
-    poly_grad_batch: Callable[[np.ndarray], np.ndarray] | None = None
+    poly_batch: Callable[[np.ndarray], np.ndarray]
+    poly_grad_batch: Callable[[np.ndarray], np.ndarray]
+    exact_mixed: Callable[[DensityMatrix], float] | None = None
 
     def check_dims(self, dims) -> None:
         dims = _as_local_dims(dims)
@@ -58,16 +56,10 @@ class Measure:
             )
 
     def eval_poly_batch(self, rows: np.ndarray) -> np.ndarray:
-        if self.poly_batch is not None:
-            return self.poly_batch(rows)
-        return np.array([self.poly(r) for r in rows], dtype=np.complex128)
+        return self.poly_batch(rows)
 
     def eval_grad_batch(self, rows: np.ndarray) -> np.ndarray:
-        if self.poly_grad_batch is not None:
-            return self.poly_grad_batch(rows)
-        if self.poly_grad is not None:
-            return np.stack([self.poly_grad(r) for r in rows])
-        return np.stack([_fd_poly_grad(self.poly, r) for r in rows])
+        return self.poly_grad_batch(rows)
 
 
 def _fd_poly_grad(poly, psi: np.ndarray) -> np.ndarray:
@@ -82,40 +74,44 @@ def _fd_poly_grad(poly, psi: np.ndarray) -> np.ndarray:
 
 def concurrence() -> Measure:
     """Wootters concurrence of two qubits, |<psi*| sigma_y x sigma_y |psi>|."""
-    def poly(psi):
-        return complex(psi @ _YY @ psi)
-
-    def grad(psi):
-        return 2.0 * (_YY @ psi)
-
     def poly_batch(rows):
         return np.einsum("ij,jk,ik->i", rows, _YY, rows)
 
     def grad_batch(rows):
         return 2.0 * rows @ _YY.T
 
+    # the module attribute is looked up on each call, so rebinding
+    # wootters_concurrence (say, to profile it) also reaches this measure
     return Measure("concurrence", LocalDims((2, 2)), degree=2, scale=1.0,
-                   poly=poly, poly_grad=grad,
-                   poly_batch=poly_batch, poly_grad_batch=grad_batch)
+                   poly_batch=poly_batch, poly_grad_batch=grad_batch,
+                   exact_mixed=lambda rho: wootters_concurrence(rho))
 
 
-def _adjugate(m: np.ndarray) -> np.ndarray:
-    """Adjugate matrix, satisfying adj(m) @ m = det(m) I."""
-    d = m.shape[0]
-    if d == 1:
-        return np.ones((1, 1), dtype=np.complex128)
+def adjugate(mats: np.ndarray) -> np.ndarray:
+    """Adjugates of an (n, d, d) stack, each with adj(M) @ M = det(M) I.
+
+    Members whose smallest singular value exceeds 1e-8 * max(1, max|M_ij|)
+    use det(M) inv(M); the others use explicit cofactors.
+    """
+    out = np.empty_like(mats)
+    d = mats.shape[-1]
     if d == 2:
-        return np.array([[m[1, 1], -m[0, 1]], [-m[1, 0], m[0, 0]]])
-    det = np.linalg.det(m)
-    smin = np.linalg.svd(m, compute_uv=False)[-1]
-    if smin > 1e-8 * max(1.0, np.abs(m).max()):
-        return det * np.linalg.inv(m)
-    cof = np.empty((d, d), dtype=np.complex128)
-    for i in range(d):
-        for j in range(d):
-            minor = np.delete(np.delete(m, i, axis=0), j, axis=1)
-            cof[i, j] = (-1) ** (i + j) * np.linalg.det(minor)
-    return cof.T
+        out[:, 0, 0] = mats[:, 1, 1]
+        out[:, 1, 1] = mats[:, 0, 0]
+        out[:, 0, 1] = -mats[:, 0, 1]
+        out[:, 1, 0] = -mats[:, 1, 0]
+        return out
+    dets = np.linalg.det(mats)
+    smin = np.linalg.svd(mats, compute_uv=False)[:, -1]
+    good = smin > 1e-8 * np.maximum(1.0, np.abs(mats).max(axis=(1, 2)))
+    out[good] = dets[good, None, None] * np.linalg.inv(mats[good])
+    for idx in np.flatnonzero(~good):
+        m = mats[idx]
+        for i in range(d):
+            for j in range(d):
+                minor = np.delete(np.delete(m, i, axis=0), j, axis=1)
+                out[idx, j, i] = (-1) ** (i + j) * np.linalg.det(minor)
+    return out
 
 
 def g_concurrence(d: int) -> Measure:
@@ -127,22 +123,17 @@ def g_concurrence(d: int) -> Measure:
     if d < 2:
         raise ValueError("G-concurrence needs local dimension >= 2")
 
-    def poly(psi):
-        return complex(np.linalg.det(psi.reshape(d, d)))
-
-    def grad(psi):
-        # d(det M)/dM = adj(M)^T, flattened back to amplitude order
-        return _adjugate(psi.reshape(d, d)).T.reshape(-1)
-
     def poly_batch(rows):
         return np.linalg.det(rows.reshape(-1, d, d))
 
     def grad_batch(rows):
-        return np.stack([grad(r) for r in rows])
+        # d(det M)/dM = adj(M)^T, flattened back to amplitude order
+        adj = adjugate(rows.reshape(-1, d, d))
+        return adj.transpose(0, 2, 1).reshape(rows.shape[0], -1)
 
     return Measure(f"g_concurrence({d})", LocalDims((d, d)), degree=d,
-                   scale=float(d), poly=poly, poly_grad=grad,
-                   poly_batch=poly_batch, poly_grad_batch=grad_batch)
+                   scale=float(d), poly_batch=poly_batch,
+                   poly_grad_batch=grad_batch)
 
 
 # 2x2x2 hyperdeterminant in Cayley form.  With amplitudes indexed a[ijk] ->
@@ -179,32 +170,41 @@ def _hyperdet_grad(psi: np.ndarray) -> np.ndarray:
 
 def sqrt_three_tangle() -> Measure:
     """Square root of the three-tangle, sqrt(4 |Det222|), on three qubits."""
-    def poly(psi):
-        return complex(_hyperdet_batch(psi.reshape(1, 8))[0])
-
     def grad_batch(rows):
         return np.stack([_hyperdet_grad(r) for r in rows])
 
     return Measure("sqrt_three_tangle", LocalDims((2, 2, 2)), degree=4,
-                   scale=2.0, poly=poly, poly_grad=_hyperdet_grad,
-                   poly_batch=_hyperdet_batch, poly_grad_batch=grad_batch)
+                   scale=2.0, poly_batch=_hyperdet_batch,
+                   poly_grad_batch=grad_batch)
 
 
 def polynomial_measure(poly, degree: int, dims, grad=None,
                        name: str = "polynomial") -> Measure:
     """Wrap a user-supplied homogeneous SL-invariant polynomial.
 
-    ``degree`` counts the degree in the amplitudes.  SL-invariance of ``poly``
-    is the caller's responsibility; :func:`sl_invariance_deviation` gives a
-    numerical spot check.
+    ``poly`` maps one amplitude vector to a complex number and ``grad``, if
+    given, to its holomorphic gradient; without ``grad`` the gradient is
+    taken by central finite differences.  ``degree`` counts the degree in the
+    amplitudes.  SL-invariance of ``poly`` is the caller's responsibility;
+    :func:`sl_invariance_deviation` gives a numerical spot check.
     """
     if degree < 1:
         raise ValueError("polynomial degree must be >= 1")
+
+    def poly_batch(rows):
+        return np.array([poly(r) for r in rows], dtype=np.complex128)
+
+    row_grad = grad if grad is not None else (lambda psi: _fd_poly_grad(poly, psi))
+
+    def grad_batch(rows):
+        return np.stack([row_grad(r) for r in rows])
+
     return Measure(name, _as_local_dims(dims), degree=int(degree), scale=1.0,
-                   poly=poly, poly_grad=grad)
+                   poly_batch=poly_batch, poly_grad_batch=grad_batch)
 
 
-def _value_from_poly(measure: Measure, f: complex) -> float:
+def _value_of_row(measure: Measure, amps: np.ndarray) -> float:
+    f = complex(measure.poly_batch(amps[None, :])[0])
     return measure.scale * abs(f) ** (2.0 / measure.degree)
 
 
@@ -212,7 +212,7 @@ def measure_pure(measure: Measure, psi: PureState) -> float:
     """Measure value of a normalized pure state."""
     measure.check_dims(psi.dims)
     psi.require_normalized()
-    return _value_from_poly(measure, measure.poly(psi.amps))
+    return _value_of_row(measure, psi.amps)
 
 
 def measure_unnormalized(measure: Measure, psi: PureState) -> float:
@@ -224,7 +224,7 @@ def measure_unnormalized(measure: Measure, psi: PureState) -> float:
     measure.check_dims(psi.dims)
     if psi.weight <= 0.0:
         raise ValueError("measure of the zero vector is undefined")
-    return _value_from_poly(measure, measure.poly(psi.amps))
+    return _value_of_row(measure, psi.amps)
 
 
 def wootters_concurrence(rho: DensityMatrix) -> float:

@@ -8,13 +8,17 @@ M x r isometry V.  The optimizer returns an upper estimate of the true roof
 together with the realizing ensemble; exactness is only claimed where an
 independent oracle exists (pure inputs, two-qubit Wootters).
 
-Restarts are independent given their derived streams and could run
-concurrently; the minimum is reduced deterministically by restart index.
+The same ensemble search, with a different objective, finds the low
+Schmidt-rank decompositions behind the Schmidt-number certificate in
+:mod:`entlab.breaking`.  Restarts are independent given their derived streams
+and could run concurrently; the minimum is reduced deterministically by
+restart index.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import partial
 
 import numpy as np
 
@@ -87,31 +91,34 @@ def _ensemble_objective(measure: Measure, basis: np.ndarray, mu: float = 0.0):
     return fun
 
 
-def convex_roof(measure: Measure, rho: DensityMatrix,
-                opts: RoofOptions = RoofOptions()) -> RoofResult:
-    """Upper estimate of the convex roof of ``measure`` at ``rho``.
-
-    Runs ``opts.restarts`` independent descents from Haar-random isometries
-    and keeps the best; ties resolve to the lowest restart index.  The
-    returned ensemble reconstructs rho and realizes the returned value.  A
-    result is flagged unconverged when the best restart exhausted its
-    iteration budget without reaching a stationary point.
-    """
-    measure.check_dims(rho.dims)
+def _eigenbasis(rho: DensityMatrix) -> tuple[np.ndarray, np.ndarray]:
+    """Eigenvalues of rho above 1e-12 * max(1, lam_max), with their
+    eigenvectors as columns."""
     lam, vecs = np.linalg.eigh(rho.mat)
     keep = lam > EIGENVALUE_CUT * max(1.0, lam[-1])
-    lam = lam[keep]
-    vecs = vecs[:, keep]
+    return lam[keep], vecs[:, keep]
+
+
+def _ensemble_search(rho: DensityMatrix, stages, opts, gradient_tolerance: float,
+                     target: int = 1, stop_below: float = -np.inf) -> RoofResult:
+    """Minimize an ensemble objective over the decompositions of rho.
+
+    ``stages`` lists ``(make_objective, budget)`` pairs: ``make_objective``
+    takes the r x D basis whose j-th row is sqrt(lam_j) e_j^T and returns the
+    descent objective of the mixing isometry.  Each of ``opts.restarts``
+    restarts runs the stages in turn from a Haar-random isometry with
+    ``opts.ensemble_size`` rows, by default rank * max(rank, target); they
+    stop early once the best value falls below ``stop_below``.  The result
+    holds the best restart's value and its normalized ensemble.
+    """
+    lam, vecs = _eigenbasis(rho)
     rank = lam.size
-    m = opts.ensemble_size if opts.ensemble_size is not None else rank * rank
+    m = opts.ensemble_size if opts.ensemble_size is not None else rank * max(rank, target)
     if m < rank:
         raise ValueError(f"ensemble size {m} below rank {rank}")
     basis = np.sqrt(lam)[:, None] * vecs.T
+    objectives = [(make(basis), budget) for make, budget in stages]
     stream = RandomStream(opts.seed)
-    # graduated smoothing: polish on the exact objective after two warm stages
-    stages = ((1e-2, opts.max_iterations // 4),
-              (1e-5, opts.max_iterations // 4),
-              (0.0, opts.max_iterations - 2 * (opts.max_iterations // 4)))
 
     best = None
     best_index = 0
@@ -119,18 +126,17 @@ def convex_roof(measure: Measure, rho: DensityMatrix,
     total_iterations = 0
     for j in range(max(1, opts.restarts)):
         point = random_isometry(m, rank, stream.child(j))
-        res = None
-        for mu, budget in stages:
-            res = minimize_on_stiefel(
-                _ensemble_objective(measure, basis, mu), point,
-                max_iterations=max(1, budget),
-                gradient_tolerance=opts.gradient_tolerance)
+        for fun, budget in objectives:
+            res = minimize_on_stiefel(fun, point, max_iterations=budget,
+                                      gradient_tolerance=gradient_tolerance)
             point = res.point
             total_iterations += res.iterations
         values.append(res.value)
         if best is None or res.value < best.value:
             best = res
             best_index = j
+        if best.value < stop_below:
+            break
 
     states = best.point @ basis
     weights = np.einsum("ij,ij->i", states, states.conj()).real
@@ -143,3 +149,22 @@ def convex_roof(measure: Measure, rho: DensityMatrix,
                       best_restart_index=best_index,
                       restart_values=tuple(values),
                       iterations=total_iterations)
+
+
+def convex_roof(measure: Measure, rho: DensityMatrix,
+                opts: RoofOptions = RoofOptions()) -> RoofResult:
+    """Upper estimate of the convex roof of ``measure`` at ``rho``.
+
+    Runs ``opts.restarts`` independent descents from Haar-random isometries
+    and keeps the best; ties resolve to the lowest restart index.  The
+    returned ensemble reconstructs rho and realizes the returned value.  A
+    result is flagged unconverged when the best restart exhausted its
+    iteration budget without reaching a stationary point.
+    """
+    measure.check_dims(rho.dims)
+    quarter = opts.max_iterations // 4
+    # graduated smoothing: polish on the exact objective after two warm stages
+    stages = [(partial(_ensemble_objective, measure, mu=mu), max(1, budget))
+              for mu, budget in ((1e-2, quarter), (1e-5, quarter),
+                                 (0.0, opts.max_iterations - 2 * quarter))]
+    return _ensemble_search(rho, stages, opts, opts.gradient_tolerance)

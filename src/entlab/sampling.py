@@ -13,7 +13,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .linalg import DensityMatrix, LocalDims, PureState, _as_local_dims
+from .linalg import DensityMatrix, PureState, _as_local_dims
 
 SL_MIN_SINGULAR_VALUE = 1e-6
 SL_MAX_REDRAWS = 100

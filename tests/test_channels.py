@@ -125,6 +125,23 @@ class TestDecayFactor:
             assert decay_factor(ch) <= 1.0 + 1e-10
 
 
+class TestRandomSeparableChannel:
+    def test_builds_exactly_one_channel_per_call(self, monkeypatch):
+        import entlab.families as families
+        built = []
+
+        def counting(*args, **kwargs):
+            built.append(SeparableChannel(*args, **kwargs))
+            return built[-1]
+
+        monkeypatch.setattr(families, "SeparableChannel", counting)
+        g = RNG.child(40).generator()
+        for i in range(30):
+            ch = random_separable_channel((2, 2), 4, g)
+            assert len(built) == i + 1 and built[-1] is ch
+            assert len(ch) == 4 and validate(ch).ok
+
+
 class TestVerifyEvolution:
     def test_random_channels_on_pure_inputs(self):
         for i in range(25):

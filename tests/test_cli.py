@@ -6,8 +6,8 @@ import math
 import numpy as np
 import pytest
 
-from entlab.channels import channel_to_json
-from entlab.cli import main, state_from_json, state_to_json
+from entlab.channels import channel_to_json, state_from_json, state_to_json
+from entlab.cli import main
 from entlab.families import bell_state, bit_flip_correlated, werner_state
 
 
@@ -108,6 +108,24 @@ class TestExitCodes:
         assert run(["verify", "--channel", str(path)]) == 2
 
 
+    def test_mixed_inputs_need_an_exact_oracle(self, capsys):
+        code = run(["verify", "--random-channel", "--dims", "2,2,2",
+                    "--measure", "sqrt_three_tangle", "--mixed", "--trials", "1"])
+        assert code == 2
+        err = capsys.readouterr().err
+        assert "--mixed" in err and "sqrt_three_tangle" in err
+
+    def test_zero_trials_is_usage_error_naming_the_option(self, capsys):
+        assert run(["verify", "--random-channel", "--trials", "0"]) == 2
+        assert "--trials" in capsys.readouterr().err
+
+    def test_malformed_pure_state_entry_is_usage_error(self, bitflip_file, tmp_path):
+        path = tmp_path / "bad_state.json"
+        path.write_text(json.dumps({"dims": [2, 2], "type": "pure",
+                                    "data": [[1], [0], [0], [0]]}))
+        assert run(["verify", "--channel", bitflip_file, "--state", str(path)]) == 2
+
+
 class TestDeterminism:
     def test_reports_are_byte_identical(self, tmp_path):
         a, b = tmp_path / "a.json", tmp_path / "b.json"
@@ -163,6 +181,13 @@ class TestOtherCommands:
         s = read_report(out)["summary"]
         assert abs(s["value"] - 0.85) < 1e-4
         assert s["oracle_deviation"] < 1e-4
+
+    def test_roof_echoes_the_dims_of_the_state(self, tmp_path):
+        out = tmp_path / "g.json"
+        code = run(["roof", "--state-family", "ghz", "--measure", "sqrt_three_tangle",
+                    "--restarts", "1", "--max-iterations", "20", "--out", str(out)])
+        assert code == 0
+        assert read_report(out)["config"]["dims"] == "2,2,2"
 
     def test_breaking_bisection(self, tmp_path):
         out = tmp_path / "b.json"

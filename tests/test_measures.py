@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 
 from entlab.linalg import LocalDims, PureState, kron_all
-from entlab.measures import (concurrence, g_concurrence, measure_pure,
+from entlab.measures import (adjugate, concurrence, g_concurrence, measure_pure,
                              measure_unnormalized, polynomial_measure,
                              sl_invariance_deviation, sqrt_three_tangle,
                              wootters_concurrence)
@@ -84,6 +84,49 @@ class TestGConcurrence:
         from entlab.families import max_entangled_state
         for d in (2, 3, 4):
             assert abs(measure_pure(g_concurrence(d), max_entangled_state(d)) - 1.0) < 1e-12
+
+
+    def test_gradient_of_the_qutrit_g_concurrence_matches_central_differences(self):
+        measure = g_concurrence(3)
+        g = RNG.child(12).generator()
+        rows = g.standard_normal((4, 9)) + 1j * g.standard_normal((4, 9))
+        rows[1] = np.outer(rows[1, :3], rows[1, 3:6]).reshape(-1)  # rank one
+        grads = measure.eval_grad_batch(rows)
+        h = 1e-6
+        for r, row in enumerate(rows):
+            for j in range(9):
+                e = np.zeros(9, dtype=np.complex128)
+                e[j] = h
+                plus, minus = measure.eval_poly_batch(np.stack([row + e, row - e]))
+                fd = (plus - minus) / (2.0 * h)
+                assert abs(grads[r, j] - fd) < 1e-7 * max(1.0, abs(fd))
+
+
+class TestAdjugate:
+    @staticmethod
+    def cofactor_adjugate(m):
+        d = m.shape[0]
+        out = np.empty((d, d), dtype=np.complex128)
+        for i in range(d):
+            for j in range(d):
+                minor = np.delete(np.delete(m, i, axis=0), j, axis=1)
+                out[j, i] = (-1) ** (i + j) * np.linalg.det(minor)
+        return out
+
+    @pytest.mark.parametrize("d", [3, 4])
+    def test_mixed_stack_of_regular_and_singular_members(self, d):
+        g = RNG.child(13, d).generator()
+        mats = g.standard_normal((5, d, d)) + 1j * g.standard_normal((5, d, d))
+        mats[1, -1] = mats[1, 0] + 2.0 * mats[1, 1]        # rank d - 1
+        mats[3] = np.outer(mats[3, 0], mats[3, 1])          # rank one: adj = 0 for d >= 3
+        mats[4, :, 2] = 0.0                                 # zero column
+        adj = adjugate(mats)
+        for m, a in zip(mats, adj):
+            det = np.linalg.det(m)
+            assert np.allclose(a @ m, det * np.eye(d), atol=1e-10)
+            assert np.allclose(a, self.cofactor_adjugate(m), atol=1e-10)
+        assert np.abs(adj[1]).max() > 1e-3  # rank d - 1 keeps a nonzero adjugate
+        assert np.abs(adj[3]).max() < 1e-10
 
 
 class TestHomogeneity:
@@ -177,6 +220,16 @@ class TestPolynomialPlugin:
         for i in range(10):
             psi = random_pure_state((2, 2), RNG.child(9, i))
             assert abs(measure_pure(custom, psi) - measure_pure(builtin, psi)) < 1e-12
+
+    def test_finite_difference_gradient_matches_the_builtin(self):
+        yy = np.kron(np.array([[0, -1j], [1j, 0]]), np.array([[0, -1j], [1j, 0]])).real
+        custom = polynomial_measure(lambda psi: complex(psi @ yy @ psi), degree=2,
+                                    dims=(2, 2), name="custom")
+        g = RNG.child(14).generator()
+        rows = g.standard_normal((6, 4)) + 1j * g.standard_normal((6, 4))
+        fd = custom.eval_grad_batch(rows)
+        exact = concurrence().eval_grad_batch(rows)
+        assert np.max(np.abs(fd - exact)) < 1e-8
 
     def test_invariance_spot_check(self):
         dev = sl_invariance_deviation(concurrence(), RNG.child(10), trials=10)
