@@ -89,25 +89,22 @@ class SchmidtSearchOptions:
 
 def _tail_objective(basis: np.ndarray, target: int, d_a: int, d_b: int):
     """Summed squared Schmidt tail beyond index ``target`` of the members
-    ``v @ basis``, and its gradient in the mixing isometry v."""
+    ``v[i] @ basis`` of each restart i, and its gradient in the stack of
+    mixing isometries v."""
     basis_h = basis.conj().T
 
     def fun(v, need_grad):
-        states = v @ basis
-        mats = states.reshape(-1, d_a, d_b)
-        value = 0.0
-        w = np.zeros_like(states) if need_grad else None
-        for i, mat in enumerate(mats):
-            uu, ss, vvh = np.linalg.svd(mat, full_matrices=False)
-            tail2 = float(np.sum(ss[target:] ** 2))
-            value += tail2
-            if need_grad:
-                # gradient of the tail energy is the tail part of the matrix
-                tail_mat = (uu[:, target:] * ss[target:]) @ vvh[target:, :]
-                w[i] = tail_mat.reshape(-1)
+        n, m = v.shape[:2]
+        mats = (v @ basis).reshape(n * m, d_a, d_b)
+        uu, ss, vvh = np.linalg.svd(mats, full_matrices=False)
+        tail2 = np.sum(ss[:, target:] ** 2, axis=1).reshape(n, m)
+        # summed member by member, in order
+        value = np.add.accumulate(tail2, axis=1)[:, -1]
         if not need_grad:
             return value, None
-        return value, w @ basis_h
+        # gradient of the tail energy is the tail part of the matrix
+        tail_mats = (uu[:, :, target:] * ss[:, None, target:]) @ vvh[:, target:, :]
+        return value, tail_mats.reshape(n, m, -1) @ basis_h
 
     return fun
 

@@ -6,19 +6,14 @@ given (config, seed) pair reproduces byte-identical output; wall-clock timing
 goes to stderr only.  CSV output is a flat projection of the per-trial
 records for plotting.  Exit codes: 0 all checks pass, 1 invariant violation
 (report still written), 2 usage or domain error, 3 I/O error.
-
-Set ENTLAB_THREADS to an integer > 1 to run independent trials of a command
-concurrently; results merge deterministically by trial index.
 """
 
 from __future__ import annotations
 
 import argparse
 import json
-import os
 import sys
 import time
-from concurrent.futures import ThreadPoolExecutor
 
 import numpy as np
 
@@ -35,8 +30,6 @@ from .measures import (Measure, concurrence, g_concurrence, measure_pure,
                        sqrt_three_tangle)
 from .roof import RoofOptions, convex_roof
 from .sampling import RandomStream, random_density, random_pure_state
-
-THREAD_ENV = "ENTLAB_THREADS"
 
 
 # --- shared helpers ----------------------------------------------------------
@@ -108,14 +101,6 @@ def _state_from_args(args):
                              f"known: {sorted(STATE_FAMILIES)}")
         return STATE_FAMILIES[args.state_family](args.param)
     return None
-
-
-def _map_trials(worker, count: int):
-    threads = int(os.environ.get(THREAD_ENV, "1") or "1")
-    if threads > 1:
-        with ThreadPoolExecutor(max_workers=threads) as pool:
-            return list(pool.map(worker, range(count)))
-    return [worker(i) for i in range(count)]
 
 
 def _report(config: dict, records: list[dict], summary: dict) -> dict:
@@ -204,7 +189,7 @@ def cmd_verify(args):
             "exact": bool(report.exact),
         }
 
-    records = _map_trials(run_trial, args.trials)
+    records = [run_trial(t) for t in range(args.trials)]
     max_outcome = max(r["max_outcome_residual"] for r in records)
     max_aggregate = max(r["aggregate_residual"] for r in records)
     ok = max_outcome <= tol_outcome and max_aggregate <= tol_aggregate
@@ -361,7 +346,7 @@ def cmd_sweep(args):
             raise ValueError(f"unknown emit target {args.emit!r}")
         return record
 
-    records = _map_trials(run_point, len(grid))
+    records = [run_point(i) for i in range(len(grid))]
     values = [r["value"] for r in records]
     ok = all(v <= 1.0 + 1e-10 for v in values)
     summary = {

@@ -38,13 +38,16 @@ def _split_perm(n: int, t: int) -> list[int]:
 
 
 def _realign(k: np.ndarray, dims, t: int) -> np.ndarray:
-    """Rearrange K so rows index party t's operator entries, columns the rest."""
+    """Rearrange K so rows index party t's operator entries, columns the
+    rest; leading axes of K index a stack of operators."""
     dims = list(dims)
     n = len(dims)
     d_t = dims[t]
     d_rest = math.prod(dims) // d_t
-    tensor = k.reshape(dims + dims).transpose(_split_perm(n, t))
-    return tensor.reshape(d_t * d_t, d_rest * d_rest)
+    lead = list(k.shape[:-2])
+    tensor = k.reshape(lead + dims + dims).transpose(
+        list(range(len(lead))) + [len(lead) + p for p in _split_perm(n, t)])
+    return tensor.reshape(lead + [d_t * d_t, d_rest * d_rest])
 
 
 def _unrealign(r: np.ndarray, dims, t: int) -> np.ndarray:
@@ -52,10 +55,11 @@ def _unrealign(r: np.ndarray, dims, t: int) -> np.ndarray:
     n = len(dims)
     rest = [i for i in range(n) if i != t]
     shape = [dims[t], dims[t]] + [dims[i] for i in rest] + [dims[i] for i in rest]
-    perm = _split_perm(n, t)
-    inv = np.argsort(perm)
+    lead = list(r.shape[:-2])
+    inv = np.argsort(_split_perm(n, t))
     d = math.prod(dims)
-    return r.reshape(shape).transpose(inv).reshape(d, d)
+    return r.reshape(lead + shape).transpose(
+        list(range(len(lead))) + [len(lead) + p for p in inv]).reshape(lead + [d, d])
 
 
 def _zero_factors(dims) -> tuple[np.ndarray, ...]:
@@ -178,7 +182,8 @@ class ErfEstimate:
 
 
 def _mix(ks: np.ndarray, u: np.ndarray) -> np.ndarray:
-    return np.einsum("jm,mab->jab", u, ks)
+    """Mixed Kraus operators sum_m U_jm K_m, for one isometry or a stack."""
+    return np.einsum("...jm,mab->...jab", u, ks)
 
 
 def _representation_value(joints, dims, threshold: float):
@@ -192,11 +197,21 @@ def _representation_value(joints, dims, threshold: float):
     return value, max_residual, max_residual < threshold
 
 
+def _libm_square(x: np.ndarray) -> np.ndarray:
+    """Squares as the C library's pow rounds them, which is how a numpy
+    scalar's ``** 2`` rounds; numpy's array square differs in the last bit on
+    about 0.1% of inputs, and the search amplifies such differences."""
+    return np.array([math.pow(v, 2.0) for v in x.tolist()])
+
+
 def _search_objective(ks: np.ndarray, dims, weight: float):
-    """Smooth inner objective: |det K~|^(2/D) sum plus split-residual penalty.
+    """Smooth inner objective: |det K~|^(2/D) sum plus split-residual penalty,
+    for a stack of mixing isometries.
 
     The determinant term agrees with the projected-factor objective exactly
-    at product operators, which is where the penalty drives the search.
+    at product operators, which is where the penalty drives the search.  The
+    mixed operators of every restart form one stack, so each split costs one
+    SVD call and the determinants one call.
     """
     dims_t = tuple(dims)
     n = len(dims_t)
@@ -205,10 +220,11 @@ def _search_objective(ks: np.ndarray, dims, weight: float):
     expo = 2.0 / d
 
     def fun(u, need_grad):
-        kt = _mix(ks, u)
+        restarts, j = u.shape[:2]
+        kt = _mix(ks, u).reshape(restarts * j, d, d)
         dets = np.linalg.det(kt)
         absdet = np.abs(dets)
-        value = float(np.sum(absdet ** expo))
+        value = np.sum((absdet ** expo).reshape(restarts, j), axis=1)
         norms2 = np.einsum("jab,jab->j", kt, kt.conj()).real
         grads = np.zeros_like(kt) if need_grad else None
 
@@ -219,27 +235,32 @@ def _search_objective(ks: np.ndarray, dims, weight: float):
                 coeff = (expo / 2.0) * absdet[live] ** (expo - 2.0) * dets[live]
                 grads[live] += coeff[:, None, None] * np.conj(np.transpose(adj, (0, 2, 1)))
 
-        penalty = 0.0
-        for j in range(kt.shape[0]):
-            if norms2[j] < NORM_ZERO ** 2:
-                continue
-            for t in splits:
-                r = _realign(kt[j], dims_t, t)
-                if need_grad:
-                    uu, ss, vvh = np.linalg.svd(r, full_matrices=False)
-                    s1 = ss[0]
-                    penalty += 1.0 - s1 ** 2 / norms2[j]
-                    # d(s1^2)/dR~ = s1 u1 v1^dag; vvh rows already carry the dagger
-                    g_r = (s1 ** 2 / norms2[j] ** 2) * r \
-                        - (s1 / norms2[j]) * np.outer(uu[:, 0], vvh[0, :])
-                    grads[j] += weight * _unrealign(g_r, dims_t, t)
-                else:
-                    ss = np.linalg.svd(r, compute_uv=False)
-                    penalty += 1.0 - ss[0] ** 2 / norms2[j]
-        value += weight * penalty
+        # operators of (numerically) zero norm carry no penalty
+        ok = norms2 >= NORM_ZERO ** 2
+        norms2_ok = norms2[ok]
+        terms = np.zeros((restarts * j, len(splits)))
+        for col, t in enumerate(splits):
+            r = _realign(kt[ok], dims_t, t)
+            if need_grad:
+                uu, ss, vvh = np.linalg.svd(r, full_matrices=False)
+                s1 = ss[:, 0]
+                s1_sq = _libm_square(s1)
+                terms[ok, col] = 1.0 - s1_sq / norms2_ok
+                # d(s1^2)/dR~ = s1 u1 v1^dag; vvh rows already carry the dagger
+                lead = uu[:, :, 0, None] * vvh[:, None, 0, :]
+                g_r = (s1_sq / _libm_square(norms2_ok))[:, None, None] * r \
+                    - (s1 / norms2_ok)[:, None, None] * lead
+                grads[ok] += weight * _unrealign(g_r, dims_t, t)
+            else:
+                ss = np.linalg.svd(r, compute_uv=False)
+                terms[ok, col] = 1.0 - _libm_square(ss[:, 0]) / norms2_ok
+        # summed operator by operator, split by split, in order
+        penalty = np.add.accumulate(terms.reshape(restarts, -1), axis=1)[:, -1] \
+            if splits else np.zeros(restarts)
+        value = value + weight * penalty
         if not need_grad:
             return value, None
-        gu = np.einsum("mab,jab->jm", ks.conj(), grads)
+        gu = np.einsum("mab,njab->njm", ks.conj(), grads.reshape(restarts, j, d, d))
         return value, gu
 
     return fun
@@ -253,8 +274,9 @@ def erf_minimize(channel: SeparableChannel,
     The given representation is always a candidate, so the result can only
     improve on :func:`decay_factor`.  Extra starting isometries (e.g. products
     of locally optimal mixings for tensor-product channels) can be supplied
-    through ``initial_mixings``.  The physical channel is asserted unchanged
-    at every accepted iterate.
+    through ``initial_mixings``.  Every start, random or supplied, runs each
+    penalty stage as one stack.  The physical channel is asserted unchanged
+    at every accepted iterate of every start.
     """
     ks = np.stack(channel.joint_ops)
     m = ks.shape[0]
@@ -266,9 +288,10 @@ def erf_minimize(channel: SeparableChannel,
     probe = random_density(dims, dims.total, stream.child(0xFEED)).mat
     reference = apply_kraus(channel.joint_ops, probe)
 
-    def assert_channel_preserved(u):
-        out = apply_kraus(_mix(ks, u), probe)
-        if np.linalg.norm(out - reference) > 1e-8:
+    def assert_channel_preserved(us):
+        kt = _mix(ks, us)
+        out = np.sum(kt @ probe @ kt.conj().swapaxes(-1, -2), axis=1)
+        if np.any(np.linalg.norm(out - reference, axis=(1, 2)) > 1e-8):
             raise RuntimeError("Kraus mixing stopped preserving the channel")
 
     candidates = []  # (value, residual, isometry, from_search, feasible)
@@ -278,17 +301,18 @@ def erf_minimize(channel: SeparableChannel,
 
     starts = [random_isometry(j, m, stream.child(i)) for i in range(opts.restarts)]
     starts += [as_complex_matrix(u, j, m) for u in initial_mixings]
-    for u0 in starts:
-        u = u0
+    if starts:
+        us = np.stack(starts)
         for w in opts.penalty_weights:
-            res = minimize_on_stiefel(_search_objective(ks, dims, w), u,
+            res = minimize_on_stiefel(_search_objective(ks, dims, w), us,
                                       max_iterations=opts.max_iterations,
                                       gradient_tolerance=1e-10,
                                       callback=assert_channel_preserved)
-            u = res.point
-        value, residual, feasible = _representation_value(
-            _mix(ks, u), dims, opts.separability_threshold)
-        candidates.append((value, residual, u, True, feasible))
+            us = res.points
+        for u in us:
+            value, residual, feasible = _representation_value(
+                _mix(ks, u), dims, opts.separability_threshold)
+            candidates.append((value, residual, u, True, feasible))
 
     feasible = [c for c in candidates if c[4]]
     search_feasible = any(c[3] for c in feasible)

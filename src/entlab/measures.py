@@ -105,12 +105,13 @@ def adjugate(mats: np.ndarray) -> np.ndarray:
     smin = np.linalg.svd(mats, compute_uv=False)[:, -1]
     good = smin > 1e-8 * np.maximum(1.0, np.abs(mats).max(axis=(1, 2)))
     out[good] = dets[good, None, None] * np.linalg.inv(mats[good])
-    for idx in np.flatnonzero(~good):
-        m = mats[idx]
-        for i in range(d):
-            for j in range(d):
-                minor = np.delete(np.delete(m, i, axis=0), j, axis=1)
-                out[idx, j, i] = (-1) ** (i + j) * np.linalg.det(minor)
+    if not good.all():
+        # keep[i] lists every index but i; minors[k, i, j] drops row i and
+        # column j of member k, and adj(M)[j, i] is its signed determinant
+        keep = np.array([[c for c in range(d) if c != i] for i in range(d)])
+        minors = mats[~good][:, keep[:, None, :, None], keep[None, :, None, :]]
+        sign = (-1) ** np.add.outer(np.arange(d), np.arange(d))
+        out[~good] = (sign * np.linalg.det(minors)).transpose(0, 2, 1)
     return out
 
 
@@ -143,8 +144,9 @@ def g_concurrence(d: int) -> Measure:
 #   Det = d1 - 2*d2 + 4*d3 = 2*sum(p^2) - (sum p)^2 + 4*d3.
 _PAIR_PARTNER = np.array([7, 6, 5, 4, 3, 2, 1, 0])
 _PAIR_SLOT = np.array([0, 1, 2, 3, 3, 2, 1, 0])
-_QUAD = {0: (3, 5, 6), 3: (0, 5, 6), 5: (0, 3, 6), 6: (0, 3, 5),
-         1: (2, 4, 7), 2: (1, 4, 7), 4: (1, 2, 7), 7: (1, 2, 4)}
+# the three amplitudes sharing d3's quartic term with amplitude m
+_QUAD = np.array([(3, 5, 6), (2, 4, 7), (1, 4, 7), (0, 5, 6),
+                  (1, 2, 7), (0, 3, 6), (0, 3, 5), (1, 2, 4)])
 
 
 def _hyperdet_batch(rows: np.ndarray) -> np.ndarray:
@@ -156,26 +158,44 @@ def _hyperdet_batch(rows: np.ndarray) -> np.ndarray:
     return 2.0 * (p * p).sum(axis=1) - s * s + 4.0 * d3
 
 
-def _hyperdet_grad(psi: np.ndarray) -> np.ndarray:
-    a = psi
-    p = np.array([a[0] * a[7], a[1] * a[6], a[2] * a[5], a[3] * a[4]])
-    s = p.sum()
-    out = np.empty(8, dtype=np.complex128)
-    for m in range(8):
-        i, j, k = _QUAD[m]
-        out[m] = (4.0 * p[_PAIR_SLOT[m]] - 2.0 * s) * a[_PAIR_PARTNER[m]] \
-            + 4.0 * a[i] * a[j] * a[k]
+def _cmul(xr, xi, yr, yi):
+    """Complex product in real arithmetic: rounds as numpy's scalar complex
+    multiply does, where its SIMD array multiply may round differently."""
+    return xr * yr - xi * yi, xr * yi + xi * yr
+
+
+def _hyperdet_grad_batch(rows: np.ndarray) -> np.ndarray:
+    """Holomorphic gradient of each row's hyperdeterminant,
+
+        dDet/da_m = (4 p_slot(m) - 2 sum_k p_k) a_partner(m)
+                    + 4 prod_{q in quad(m)} a_q.
+
+    Every entry rounds exactly as this formula does when evaluated on one
+    row with numpy scalars: products in real arithmetic, the pair sum in
+    numpy's pairwise order.  The tangle roof's restarts are sensitive to the
+    last bit of this gradient.
+    """
+    ar, ai = rows.real, rows.imag
+    pr, pi = _cmul(ar[:, :4], ai[:, :4], ar[:, 7:3:-1], ai[:, 7:3:-1])
+    sr = (pr[:, 0] + pr[:, 1]) + (pr[:, 2] + pr[:, 3])
+    si = (pi[:, 0] + pi[:, 1]) + (pi[:, 2] + pi[:, 3])
+    pair_r, pair_i = _cmul(4.0 * pr[:, _PAIR_SLOT] - 2.0 * sr[:, None],
+                           4.0 * pi[:, _PAIR_SLOT] - 2.0 * si[:, None],
+                           ar[:, _PAIR_PARTNER], ai[:, _PAIR_PARTNER])
+    quad_r, quad_i = 4.0 * ar[:, _QUAD[:, 0]], 4.0 * ai[:, _QUAD[:, 0]]
+    for q in _QUAD[:, 1:].T:
+        quad_r, quad_i = _cmul(quad_r, quad_i, ar[:, q], ai[:, q])
+    out = np.empty(rows.shape, dtype=np.complex128)
+    out.real = pair_r + quad_r
+    out.imag = pair_i + quad_i
     return out
 
 
 def sqrt_three_tangle() -> Measure:
     """Square root of the three-tangle, sqrt(4 |Det222|), on three qubits."""
-    def grad_batch(rows):
-        return np.stack([_hyperdet_grad(r) for r in rows])
-
     return Measure("sqrt_three_tangle", LocalDims((2, 2, 2)), degree=4,
                    scale=2.0, poly_batch=_hyperdet_batch,
-                   poly_grad_batch=grad_batch)
+                   poly_grad_batch=_hyperdet_grad_batch)
 
 
 def polynomial_measure(poly, degree: int, dims, grad=None,

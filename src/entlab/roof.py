@@ -11,7 +11,9 @@ independent oracle exists (pure inputs, two-qubit Wootters).
 The same ensemble search, with a different objective, finds the low
 Schmidt-rank decompositions behind the Schmidt-number certificate in
 :mod:`entlab.breaking`.  Restarts are independent given their derived streams
-and could run concurrently; the minimum is reduced deterministically by
+and run together as one (restarts, M, r) stack through the stacked descent of
+:mod:`entlab.stiefel`, so ensemble objectives take a stack of isometries and
+return one value per restart; the minimum is reduced deterministically by
 restart index.
 """
 
@@ -57,25 +59,29 @@ class RoofResult:
 
 
 def _ensemble_objective(measure: Measure, basis: np.ndarray, mu: float = 0.0):
-    """Roof objective and gradient as a function of the mixing isometry.
+    """Roof objective and gradient of a stack of mixing isometries.
 
     basis is the r x D matrix whose j-th row is sqrt(lam_j) e_j^T, so the
-    ensemble members are the rows of V @ basis.  A positive ``mu`` replaces
-    |f|**(2/k) by the smooth surrogate (|f|^2 + mu^2)**(1/k) - mu**(2/k),
-    which removes the kink at f = 0; the mu = 0 objective is the roof itself.
+    ensemble members of restart i are the rows of V[i] @ basis; the measure
+    sees the members of every restart as one stack of rows.  A positive
+    ``mu`` replaces |f|**(2/k) by the smooth surrogate
+    (|f|^2 + mu^2)**(1/k) - mu**(2/k), which removes the kink at f = 0; the
+    mu = 0 objective is the roof itself.
     """
     c = measure.scale
     k = measure.degree
     basis_h = basis.conj().T
 
     def fun(v, need_grad):
-        states = v @ basis
+        n, m = v.shape[:2]
+        states = (v @ basis).reshape(n * m, -1)
         f = measure.eval_poly_batch(states)
         absf2 = (f * f.conj()).real
         if mu > 0.0:
-            value = float(c * np.sum((absf2 + mu * mu) ** (1.0 / k) - mu ** (2.0 / k)))
+            terms = (absf2 + mu * mu) ** (1.0 / k) - mu ** (2.0 / k)
         else:
-            value = float(c * np.sum(absf2 ** (1.0 / k)))
+            terms = absf2 ** (1.0 / k)
+        value = c * terms.reshape(n, m).sum(axis=1)
         if not need_grad:
             return value, None
         grads = measure.eval_grad_batch(states)
@@ -86,7 +92,7 @@ def _ensemble_objective(measure: Measure, basis: np.ndarray, mu: float = 0.0):
             coeff = np.zeros_like(f)
             coeff[live] = (c / k) * absf2[live] ** (1.0 / k - 1.0) * f[live]
         w = coeff[:, None] * grads.conj()
-        return value, w @ basis_h
+        return value, w.reshape(n, m, -1) @ basis_h
 
     return fun
 
@@ -105,11 +111,13 @@ def _ensemble_search(rho: DensityMatrix, stages, opts, gradient_tolerance: float
 
     ``stages`` lists ``(make_objective, budget)`` pairs: ``make_objective``
     takes the r x D basis whose j-th row is sqrt(lam_j) e_j^T and returns the
-    descent objective of the mixing isometry.  Each of ``opts.restarts``
-    restarts runs the stages in turn from a Haar-random isometry with
-    ``opts.ensemble_size`` rows, by default rank * max(rank, target); they
-    stop early once the best value falls below ``stop_below``.  The result
-    holds the best restart's value and its normalized ensemble.
+    stacked descent objective of the mixing isometries.  All
+    ``opts.restarts`` restarts run each stage as one stack, restart j from
+    the Haar-random isometry of ``stream.child(j)`` with
+    ``opts.ensemble_size`` rows, by default rank * max(rank, target).  The
+    result reports the restarts a one-by-one search would have run, which
+    stops at the first restart whose value falls below ``stop_below``, and
+    holds the best of them with its normalized ensemble.
     """
     lam, vecs = _eigenbasis(rho)
     rank = lam.size
@@ -119,36 +127,34 @@ def _ensemble_search(rho: DensityMatrix, stages, opts, gradient_tolerance: float
     basis = np.sqrt(lam)[:, None] * vecs.T
     objectives = [(make(basis), budget) for make, budget in stages]
     stream = RandomStream(opts.seed)
+    restarts = max(1, opts.restarts)
+    points = np.stack([random_isometry(m, rank, stream.child(j))
+                       for j in range(restarts)])
+    iterations = np.zeros(restarts, dtype=int)
+    for stage, (fun, budget) in enumerate(objectives, 1):
+        res = minimize_on_stiefel(
+            fun, points, max_iterations=budget, gradient_tolerance=gradient_tolerance,
+            stop_below=stop_below if stage == len(objectives) else -np.inf)
+        points = res.points
+        iterations += res.restart_iterations
+    # keep the restarts a one-by-one search would have run: up to the first
+    # whose value falls below stop_below
+    below = np.flatnonzero(np.array(res.values) < stop_below)
+    used = int(below[0]) + 1 if below.size else restarts
+    values = res.values[:used]
+    best = int(np.argmin(values))
 
-    best = None
-    best_index = 0
-    values = []
-    total_iterations = 0
-    for j in range(max(1, opts.restarts)):
-        point = random_isometry(m, rank, stream.child(j))
-        for fun, budget in objectives:
-            res = minimize_on_stiefel(fun, point, max_iterations=budget,
-                                      gradient_tolerance=gradient_tolerance)
-            point = res.point
-            total_iterations += res.iterations
-        values.append(res.value)
-        if best is None or res.value < best.value:
-            best = res
-            best_index = j
-        if best.value < stop_below:
-            break
-
-    states = best.point @ basis
+    states = points[best] @ basis
     weights = np.einsum("ij,ij->i", states, states.conj()).real
     ensemble = tuple(
         (float(w), PureState(s / np.sqrt(w), rho.dims))
         for w, s in zip(weights, states) if w > 1e-14
     )
-    return RoofResult(value=best.value, ensemble=ensemble,
-                      converged=best.converged,
-                      best_restart_index=best_index,
-                      restart_values=tuple(values),
-                      iterations=total_iterations)
+    return RoofResult(value=values[best], ensemble=ensemble,
+                      converged=res.converged[best],
+                      best_restart_index=best,
+                      restart_values=values,
+                      iterations=int(iterations[:used].sum()))
 
 
 def convex_roof(measure: Measure, rho: DensityMatrix,

@@ -142,14 +142,6 @@ class TestDeterminism:
              "--out", str(b)])
         assert a.read_bytes() != b.read_bytes()
 
-    def test_threaded_trials_merge_deterministically(self, tmp_path, monkeypatch):
-        serial, threaded = tmp_path / "s.json", tmp_path / "t.json"
-        args = ["verify", "--random-channel", "--trials", "16", "--seed", "6"]
-        assert run(args + ["--out", str(serial)]) == 0
-        monkeypatch.setenv("ENTLAB_THREADS", "4")
-        assert run(args + ["--out", str(threaded)]) == 0
-        assert serial.read_bytes() == threaded.read_bytes()
-
     def test_verify_requires_a_channel_source(self):
         assert run(["verify", "--trials", "1"]) == 2
 

@@ -71,6 +71,45 @@ class TestThreeTangle:
             expected = 2.0 * abs(cayley_hyperdet(psi.amps)) ** 0.5
             assert abs(measure_pure(tangle, psi) - expected) < 1e-12
 
+    @staticmethod
+    def row_gradient(a):
+        """The hyperdeterminant's gradient, one row at a time with numpy
+        scalars: dDet/da_m = (4 p_slot - 2 sum p) a_partner + 4 a_i a_j a_k."""
+        partner = (7, 6, 5, 4, 3, 2, 1, 0)
+        slot = (0, 1, 2, 3, 3, 2, 1, 0)
+        quad = ((3, 5, 6), (2, 4, 7), (1, 4, 7), (0, 5, 6),
+                (1, 2, 7), (0, 3, 6), (0, 3, 5), (1, 2, 4))
+        p = np.array([a[0] * a[7], a[1] * a[6], a[2] * a[5], a[3] * a[4]])
+        s = p.sum()
+        out = np.empty(8, dtype=np.complex128)
+        for m in range(8):
+            i, j, k = quad[m]
+            out[m] = (4.0 * p[slot[m]] - 2.0 * s) * a[partner[m]] + 4.0 * a[i] * a[j] * a[k]
+        return out
+
+    def test_stacked_gradient_equals_the_row_formula_bitwise(self):
+        g = RNG.child(15).generator()
+        rows = g.standard_normal((2000, 8)) + 1j * g.standard_normal((2000, 8))
+        rows[:5, :4] = 0.0  # products that vanish exactly
+        stacked = sqrt_three_tangle().eval_grad_batch(rows)
+        reference = np.stack([self.row_gradient(r) for r in rows])
+        assert np.array_equal(stacked, reference)
+
+    def test_gradient_matches_central_differences(self):
+        measure = sqrt_three_tangle()
+        g = RNG.child(16).generator()
+        rows = g.standard_normal((4, 8)) + 1j * g.standard_normal((4, 8))
+        rows[1] = np.kron(rows[1, :2], np.kron(rows[1, 2:4], rows[1, 4:6]))  # product
+        grads = measure.eval_grad_batch(rows)
+        h = 1e-6
+        for r, row in enumerate(rows):
+            for j in range(8):
+                e = np.zeros(8, dtype=np.complex128)
+                e[j] = h
+                plus, minus = measure.eval_poly_batch(np.stack([row + e, row - e]))
+                fd = (plus - minus) / (2.0 * h)
+                assert abs(grads[r, j] - fd) < 1e-7 * max(1.0, abs(fd))
+
 
 class TestGConcurrence:
     def test_reduces_to_concurrence_for_qubits(self):

@@ -1,11 +1,16 @@
 """Convex-roof solver against the closed-form two-qubit oracle."""
 
+from functools import partial
+
 import numpy as np
 import pytest
 
+from entlab.breaking import SchmidtSearchOptions, _tail_objective
 from entlab.linalg import DensityMatrix, LocalDims
-from entlab.measures import concurrence, measure_pure, wootters_concurrence
-from entlab.roof import RoofOptions, RoofResult, convex_roof, _ensemble_objective
+from entlab.measures import (concurrence, g_concurrence, measure_pure,
+                             sqrt_three_tangle, wootters_concurrence)
+from entlab.roof import (RoofOptions, RoofResult, convex_roof, _ensemble_objective,
+                         _ensemble_search)
 from entlab.families import werner_state
 from entlab.sampling import RandomStream, random_density, random_pure_state
 from entlab.stiefel import minimize_on_stiefel, qf_retract
@@ -77,8 +82,9 @@ def test_descent_is_monotone_within_a_restart():
     v0 = qf_retract(np.reshape(
         RNG.child(6).generator().normal(size=(9, int(keep.sum()))), (9, -1)
     ).astype(complex))
-    res = minimize_on_stiefel(fun, v0, max_iterations=200)
-    assert all(a >= b - 1e-15 for a, b in zip(res.history, res.history[1:]))
+    res = minimize_on_stiefel(fun, v0[None], max_iterations=200)
+    history = res.histories[0]
+    assert all(a >= b - 1e-15 for a, b in zip(history, history[1:]))
 
 
 def test_result_ensemble_invariants():
@@ -104,3 +110,67 @@ def test_best_restart_index_is_deterministic():
     b = convex_roof(concurrence(), rho, FAST)
     assert a.best_restart_index == b.best_restart_index
     assert a.value == b.value
+
+
+# Restart values (as float.hex), best restart and summed iterations, recorded
+# with the descent that ran one restart at a time.  Running the restarts as
+# one stack must reproduce them bit for bit.
+GOLDEN_ROOFS = {
+    "concurrence": (
+        concurrence, (2, 2), 3, 3,
+        ("0x1.7fb7ac09db25dp-4", "0x1.7fb7ac09db27ap-4", "0x1.7fb7ac09db27ep-4"), 0, 248),
+    "g_concurrence(3)": (
+        lambda: g_concurrence(3), (3, 3), 2, 4,
+        ("0x1.baae98963776ap-3", "0x1.9ed2d65cdfd46p-3", "0x1.a861fb1487106p-3",
+         "0x1.a202a564f19d0p-3"), 1, 457),
+    "sqrt_three_tangle": (
+        sqrt_three_tangle, (2, 2, 2), 2, 4,
+        ("0x1.fe6ec9e16dc9ap-3", "0x1.ee803f49e6dccp-3", "0x1.cf80f320fab8ap-3",
+         "0x1.faa45ba182ba6p-3"), 2, 441),
+}
+
+
+@pytest.mark.parametrize("name", sorted(GOLDEN_ROOFS))
+def test_roof_restarts_match_the_recorded_values_bitwise(name):
+    make, dims, rank, restarts, values, best, iterations = GOLDEN_ROOFS[name]
+    index = list(GOLDEN_ROOFS).index(name)
+    rho = random_density(dims, rank, RandomStream(4711).child(index))
+    res = convex_roof(make(), rho, RoofOptions(restarts=restarts, max_iterations=200,
+                                               seed=index))
+    assert tuple(v.hex() for v in res.restart_values) == values
+    assert res.best_restart_index == best
+    assert res.iterations == iterations
+
+
+def _product_mixture(seed, k):
+    """3 x 3 mixture of two pure states of Schmidt rank k."""
+    g = np.random.default_rng(seed)
+    rho = np.zeros((9, 9), dtype=complex)
+    for w in g.dirichlet(np.ones(2)):
+        a = g.standard_normal((3, k)) + 1j * g.standard_normal((3, k))
+        b = g.standard_normal((k, 3)) + 1j * g.standard_normal((k, 3))
+        v = (a @ b).reshape(-1)
+        v /= np.linalg.norm(v)
+        rho += w * np.outer(v, v.conj())
+    return DensityMatrix((rho + rho.conj().T) / 2, (3, 3))
+
+
+# (seed, target, restart values, best restart, iterations): the first stage
+# drops below 1e-16 in restart 0, the second in restart 1, so three restarts
+# report one and two.
+GOLDEN_SCHMIDT = (
+    (0, 1, ("0x1.5c6d59578f802p-68",), 0, 14),
+    (7, 2, ("0x1.2167cee0db3bep-24", "0x1.fcfdad1c9dcbep-63"), 1, 122),
+)
+
+
+@pytest.mark.parametrize("seed,target,values,best,iterations", GOLDEN_SCHMIDT)
+def test_schmidt_stage_stops_where_the_recorded_search_stopped(seed, target, values,
+                                                                best, iterations):
+    opts = SchmidtSearchOptions(restarts=3, max_iterations=100, seed=seed)
+    stage = (partial(_tail_objective, target=target, d_a=3, d_b=3), opts.max_iterations)
+    res = _ensemble_search(_product_mixture(seed, target), [stage], opts, 1e-10,
+                           target=target, stop_below=1e-16)
+    assert tuple(v.hex() for v in res.restart_values) == values
+    assert res.best_restart_index == best
+    assert res.iterations == iterations
