@@ -25,7 +25,9 @@ from .sampling import RandomStream, as_generator, random_pure_state
 PPT_EIGENVALUE_TOL = -1e-10
 FULL_RANK_COEFF = 1e-4
 TAIL_COEFF_TOL = 1e-6
+SCHMIDT_COEFF_TOL = 1e-8
 PROBE_REDRAWS = 100
+SCAN_GRID_POINTS = 9
 
 
 @dataclass(frozen=True)
@@ -42,16 +44,17 @@ class SchmidtReport:
     separable: bool | None = None
 
 
-def schmidt_rank(psi: PureState, cut, tol: float = 1e-8) -> int:
-    """Number of Schmidt coefficients above ``tol`` across the bipartition."""
+def schmidt_rank(psi: PureState, cut) -> int:
+    """Number of Schmidt coefficients above 1e-8 across the bipartition."""
     dec = schmidt_decompose(psi, cut)
-    return int(np.sum(dec.coeffs > tol))
+    return int(np.sum(dec.coeffs > SCHMIDT_COEFF_TOL))
 
 
-def is_ppt(rho: DensityMatrix, cut=(1,), tol: float = PPT_EIGENVALUE_TOL) -> bool:
-    """Positive partial transpose across the given transposed-party set."""
-    pt = partial_transpose(rho.mat, rho.dims, cut)
-    return bool(np.min(np.linalg.eigvalsh(pt)) >= tol)
+def is_ppt(rho: DensityMatrix) -> bool:
+    """Positive partial transpose of the second party, up to eigenvalues of
+    -1e-10."""
+    pt = partial_transpose(rho.mat, rho.dims, (1,))
+    return bool(np.min(np.linalg.eigvalsh(pt)) >= PPT_EIGENVALUE_TOL)
 
 
 def is_separable_small(rho: DensityMatrix) -> bool:
@@ -81,7 +84,6 @@ class SchmidtNumberCertificate:
 
 @dataclass(frozen=True)
 class SchmidtSearchOptions:
-    ensemble_size: int | None = None
     restarts: int = 8
     max_iterations: int = 250
     seed: int = 0
@@ -161,7 +163,6 @@ class PebReport:
     """Evidence that a local channel is r-partially entanglement breaking."""
 
     target: int
-    dimension: int
     breaking: bool | None
     verdicts: tuple[ProbeVerdict, ...]
     agreement: bool
@@ -197,8 +198,7 @@ def _probe_verdict(out: DensityMatrix, target: int,
 
 
 def r_peb_test(local_ops, target: int, probes: int = 20,
-               seed: int = 0,
-               search_opts: SchmidtSearchOptions | None = None) -> PebReport:
+               seed: int = 0) -> PebReport:
     """Probe whether (Phi x I) keeps every output at Schmidt number <= target.
 
     Uses the maximally entangled probe plus random full-Schmidt-rank probes;
@@ -209,7 +209,7 @@ def r_peb_test(local_ops, target: int, probes: int = 20,
     d = as_complex_matrix(local_ops[0]).shape[0]
     # (Phi x I) on the d x d doubled space; raises if the local list does not close
     extended = embed_one_sided(local_ops, 0, (d, d))
-    opts = search_opts if search_opts is not None else SchmidtSearchOptions(seed=seed)
+    opts = SchmidtSearchOptions(seed=seed)
 
     stream = RandomStream(seed)
     verdicts = []
@@ -222,7 +222,7 @@ def r_peb_test(local_ops, target: int, probes: int = 20,
     divergent = tuple(v.probe_index for v in verdicts[1:]
                       if v.breaking is not None and reference is not None
                       and v.breaking != reference)
-    return PebReport(target=target, dimension=d, breaking=reference,
+    return PebReport(target=target, breaking=reference,
                      verdicts=tuple(verdicts), agreement=not divergent,
                      divergent_probes=divergent)
 
@@ -237,20 +237,20 @@ class ThresholdReport:
 
 
 def eb_threshold_scan(family, target: int, lo: float = 0.0, hi: float = 1.0,
-                      tol: float = 1e-3, grid_points: int = 9,
-                      seed: int = 0) -> ThresholdReport:
+                      tol: float = 1e-3, seed: int = 0) -> ThresholdReport:
     """Bisect the onset of entanglement breaking in a parametrized family.
 
-    ``family(param)`` must return a local Kraus list.  A coarse grid first
-    checks that the breaking verdict is monotone in the parameter; a
-    non-monotone scan raises with the offending bracket.  Verdicts come from
-    the maximally entangled probe (exact for qubit families at target 1).
+    ``family(param)`` must return a local Kraus list.  A coarse grid of 9
+    points first checks that the breaking verdict is monotone in the
+    parameter; a non-monotone scan raises with the offending bracket.
+    Verdicts come from the maximally entangled probe (exact for qubit
+    families at target 1).
     """
     def verdict(param: float) -> bool | None:
         report = r_peb_test(family(param), target, probes=0, seed=seed)
         return report.breaking
 
-    grid = np.linspace(lo, hi, grid_points)
+    grid = np.linspace(lo, hi, SCAN_GRID_POINTS)
     flags = [verdict(p) for p in grid]
     pairs = tuple((float(p), f) for p, f in zip(grid, flags))
 

@@ -21,11 +21,12 @@ import numpy as np
 from .linalg import (DensityMatrix, LocalDims, PureState, _as_local_dims,
                      as_complex_matrix, kron_all)
 from .measures import Measure, measure_pure, measure_unnormalized
-from .roof import RoofOptions, convex_roof
+from .roof import convex_roof
 
 CLOSURE_TOL = 1e-10
 NULL_OUTCOME_TOL = 1e-12
 MIN_INPUT_ENTANGLEMENT = 1e-8
+RANDOM_UNITARY_TOL = 1e-10
 
 
 @dataclass(frozen=True)
@@ -134,7 +135,6 @@ class EvolutionReport:
     decay: float
     per_outcome_residuals: tuple[float, ...]
     aggregate_residual: float
-    measure_name: str
     input_entanglement: float
     average_output_entanglement: float
     exact: bool
@@ -197,17 +197,15 @@ def decay_factor(channel: SeparableChannel) -> float:
     return float(sum(op.det_weight() for op in channel.ops))
 
 
-def _mixed_entanglement(measure: Measure, rho: DensityMatrix, roof_opts):
+def _mixed_entanglement(measure: Measure, rho: DensityMatrix):
     """Mixed-state value and whether it is exact (the measure's own oracle)
-    or a convex-roof estimate."""
+    or a convex-roof estimate at the default options."""
     if measure.exact_mixed is not None:
         return measure.exact_mixed(rho), True
-    opts = roof_opts if roof_opts is not None else RoofOptions()
-    return convex_roof(measure, rho, opts).value, False
+    return convex_roof(measure, rho).value, False
 
 
-def _branch_entanglement(channel: SeparableChannel, rho, measure: Measure,
-                         roof_opts):
+def _branch_entanglement(channel: SeparableChannel, rho, measure: Measure):
     """``(E(rho), [p_m E(sigma_m)], their sum, whether every value is exact)``.
 
     Branches with p_m <= 1e-12 contribute zero.  Raises if E(rho) <= 1e-8:
@@ -221,7 +219,7 @@ def _branch_entanglement(channel: SeparableChannel, rho, measure: Measure,
         e_in = measure_pure(measure, rho)
         exact = True
     else:
-        e_in, exact = _mixed_entanglement(measure, rho, roof_opts)
+        e_in, exact = _mixed_entanglement(measure, rho)
     if e_in <= MIN_INPUT_ENTANGLEMENT:
         raise ValueError(
             "input entanglement vanishes; the evolution identity requires a "
@@ -239,7 +237,7 @@ def _branch_entanglement(channel: SeparableChannel, rho, measure: Measure,
             if outcome.state is None:
                 values.append(0.0)
                 continue
-            value, branch_exact = _mixed_entanglement(measure, outcome.state, roof_opts)
+            value, branch_exact = _mixed_entanglement(measure, outcome.state)
             exact = exact and branch_exact
             values.append(outcome.probability * value)
     total = 0.0  # a plain running sum: sum() compensates on Python >= 3.12
@@ -248,8 +246,8 @@ def _branch_entanglement(channel: SeparableChannel, rho, measure: Measure,
     return e_in, values, total, exact
 
 
-def verify_evolution(channel: SeparableChannel, rho, measure: Measure,
-                     roof_opts=None) -> EvolutionReport:
+def verify_evolution(channel: SeparableChannel, rho,
+                     measure: Measure) -> EvolutionReport:
     """Check p_m E(sigma_m) = prod_i |det K_m^(i)|**(2/d_i) * E(rho) per outcome.
 
     ``rho`` may be a PureState (exact for every compatible measure) or a
@@ -258,7 +256,7 @@ def verify_evolution(channel: SeparableChannel, rho, measure: Measure,
     flagged ``exact=False``).  Raises if the input entanglement vanishes,
     since the identity presumes a nonzero denominator.
     """
-    e_in, values, total, exact = _branch_entanglement(channel, rho, measure, roof_opts)
+    e_in, values, total, exact = _branch_entanglement(channel, rho, measure)
     residuals = [abs(lhs - op.det_weight() * e_in)
                  for op, lhs in zip(channel.ops, values)]
 
@@ -267,15 +265,15 @@ def verify_evolution(channel: SeparableChannel, rho, measure: Measure,
         decay=decay,
         per_outcome_residuals=tuple(residuals),
         aggregate_residual=abs(total - decay * e_in),
-        measure_name=measure.name,
         input_entanglement=e_in,
         average_output_entanglement=total,
         exact=exact,
     )
 
 
-def is_random_unitary(channel: SeparableChannel, tol: float = 1e-10) -> bool:
-    """True iff every local factor K satisfies K^dag K = c I with c > 0."""
+def is_random_unitary(channel: SeparableChannel) -> bool:
+    """True iff every local factor K satisfies K^dag K = c I with c > 0,
+    within 1e-10 * max(1, c) in Frobenius norm."""
     for op in channel.ops:
         for f in op.factors:
             d = f.shape[0]
@@ -283,7 +281,7 @@ def is_random_unitary(channel: SeparableChannel, tol: float = 1e-10) -> bool:
             c = float(np.trace(a).real) / d
             if c <= 0.0:
                 return False
-            if np.linalg.norm(a - c * np.eye(d)) > tol * max(1.0, c):
+            if np.linalg.norm(a - c * np.eye(d)) > RANDOM_UNITARY_TOL * max(1.0, c):
                 return False
     return True
 

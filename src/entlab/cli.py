@@ -5,7 +5,9 @@ Reports are canonical JSON (sorted keys, shortest round-trip floats), so a
 given (config, seed) pair reproduces byte-identical output; wall-clock timing
 goes to stderr only.  CSV output is a flat projection of the per-trial
 records for plotting.  Exit codes: 0 all checks pass, 1 invariant violation
-(report still written), 2 usage or domain error, 3 I/O error.
+(report still written), 2 usage or domain error, 3 I/O error, 4 a search or
+sampler gave up (no entangled input, a Kraus mixing that left the channel,
+or exhausted redraws).
 """
 
 from __future__ import annotations
@@ -331,22 +333,15 @@ def cmd_sweep(args):
     dims = _parse_dims(args.dims)
     if args.family not in CHANNEL_FAMILIES:
         raise ValueError(f"unknown channel family {args.family!r}")
-    grid = _parse_range(args.param_range)
-
-    def run_point(i: int) -> dict:
-        param = grid[i]
+    records = []
+    for param in _parse_range(args.param_range):
         channel = CHANNEL_FAMILIES[args.family](param, dims=dims.dims)
-        record = {"param": float(param)}
         if args.emit == "decay":
-            record["value"] = float(decay_factor(channel))
-        elif args.emit == "erf":
-            opts = MixingSearchOptions(restarts=args.restarts, seed=args.seed)
-            record["value"] = float(erf_minimize(channel, opts).value)
+            value = decay_factor(channel)
         else:
-            raise ValueError(f"unknown emit target {args.emit!r}")
-        return record
-
-    records = [run_point(i) for i in range(len(grid))]
+            opts = MixingSearchOptions(restarts=args.restarts, seed=args.seed)
+            value = erf_minimize(channel, opts).value
+        records.append({"param": float(param), "value": float(value)})
     values = [r["value"] for r in records]
     ok = all(v <= 1.0 + 1e-10 for v in values)
     summary = {
@@ -471,6 +466,9 @@ def main(argv=None) -> int:
     except (ValueError, TypeError) as exc:
         print(f"entlab: {exc}", file=sys.stderr)
         return 2
+    except RuntimeError as exc:
+        print(f"entlab: {exc}", file=sys.stderr)
+        return 4
     finally:
         elapsed = time.monotonic() - started
         print(f"entlab {args.command}: {elapsed:.3f}s", file=sys.stderr)

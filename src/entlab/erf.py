@@ -26,6 +26,10 @@ from .stiefel import minimize_on_stiefel
 
 DET_ZERO = 1e-200
 NORM_ZERO = 1e-14
+# strictly increasing weights of the graduated separability penalty
+PENALTY_WEIGHTS = (10.0, 100.0, 1000.0, 10000.0)
+SEPARABILITY_THRESHOLD = 1e-6
+TENSOR_BOUND_TOL = 1e-6
 
 
 # ---------------------------------------------------------------------------
@@ -145,23 +149,17 @@ class MixingSearchOptions:
     """Search controls for the Kraus-mixing minimization.
 
     ``extra_operators`` enlarges the isometry to reach representations with
-    more Kraus terms; penalty weights must increase strictly.
+    more Kraus terms.
     """
 
     extra_operators: int = 0
     restarts: int = 6
     max_iterations: int = 120
-    penalty_weights: tuple[float, ...] = (10.0, 100.0, 1000.0, 10000.0)
-    separability_threshold: float = 1e-6
     seed: int = 0
 
     def __post_init__(self):
         if self.extra_operators < 0:
             raise ValueError("extra_operators must be >= 0")
-        w = tuple(float(x) for x in self.penalty_weights)
-        if any(b <= a for a, b in zip(w, w[1:])):
-            raise ValueError("penalty weights must be strictly increasing")
-        object.__setattr__(self, "penalty_weights", w)
 
 
 @dataclass(frozen=True)
@@ -186,7 +184,7 @@ def _mix(ks: np.ndarray, u: np.ndarray) -> np.ndarray:
     return np.einsum("...jm,mab->...jab", u, ks)
 
 
-def _representation_value(joints, dims, threshold: float):
+def _representation_value(joints, dims):
     """Spec objective on projected product factors, plus feasibility data."""
     value = 0.0
     max_residual = 0.0
@@ -194,7 +192,7 @@ def _representation_value(joints, dims, threshold: float):
         factors, residual = nearest_product_operator(k, dims)
         max_residual = max(max_residual, residual)
         value += SeparableKrausOperator(factors).det_weight()
-    return value, max_residual, max_residual < threshold
+    return value, max_residual, max_residual < SEPARABILITY_THRESHOLD
 
 
 def _libm_square(x: np.ndarray) -> np.ndarray:
@@ -295,23 +293,21 @@ def erf_minimize(channel: SeparableChannel,
             raise RuntimeError("Kraus mixing stopped preserving the channel")
 
     candidates = []  # (value, residual, isometry, from_search, feasible)
-    value0, res0, feas0 = _representation_value(channel.joint_ops, dims,
-                                                opts.separability_threshold)
+    value0, res0, feas0 = _representation_value(channel.joint_ops, dims)
     candidates.append((value0, res0, identity, False, feas0))
 
     starts = [random_isometry(j, m, stream.child(i)) for i in range(opts.restarts)]
     starts += [as_complex_matrix(u, j, m) for u in initial_mixings]
     if starts:
         us = np.stack(starts)
-        for w in opts.penalty_weights:
+        for w in PENALTY_WEIGHTS:
             res = minimize_on_stiefel(_search_objective(ks, dims, w), us,
                                       max_iterations=opts.max_iterations,
                                       gradient_tolerance=1e-10,
                                       callback=assert_channel_preserved)
             us = res.points
         for u in us:
-            value, residual, feasible = _representation_value(
-                _mix(ks, u), dims, opts.separability_threshold)
+            value, residual, feasible = _representation_value(_mix(ks, u), dims)
             candidates.append((value, residual, u, True, feasible))
 
     feasible = [c for c in candidates if c[4]]
@@ -339,17 +335,16 @@ class ErfBounds:
     exact: bool
 
 
-def erf_bounds(channel: SeparableChannel, rho, measure: Measure,
-               roof_opts=None) -> ErfBounds:
+def erf_bounds(channel: SeparableChannel, rho, measure: Measure) -> ErfBounds:
     """Lower/upper witnesses E(L(rho))/E(rho) and sum_m p_m E(sigma_m)/E(rho).
 
     Exact when every mixed evaluation uses the measure's exact mixed-state
     oracle; otherwise the lower witness rests on a roof upper estimate and
     the pair is flagged heuristic (``exact=False``).
     """
-    e_in, _, total, exact = _branch_entanglement(channel, rho, measure, roof_opts)
+    e_in, _, total, exact = _branch_entanglement(channel, rho, measure)
     rho_mat = rho.density() if isinstance(rho, PureState) else rho
-    e_out, out_exact = _mixed_entanglement(measure, apply(channel, rho_mat), roof_opts)
+    e_out, out_exact = _mixed_entanglement(measure, apply(channel, rho_mat))
     return ErfBounds(lower=e_out / e_in, upper=total / e_in,
                      exact=exact and out_exact)
 
@@ -364,9 +359,10 @@ class TensorBoundReport:
 
 
 def tensor_bound_check(local_channels,
-                       opts: MixingSearchOptions = MixingSearchOptions(),
-                       tol: float = 1e-6) -> TensorBoundReport:
-    """Check F(joint) <= prod F(local) on the searched representations.
+                       opts: MixingSearchOptions = MixingSearchOptions()
+                       ) -> TensorBoundReport:
+    """Check F(joint) <= prod F(local) within 1e-6 on the searched
+    representations.
 
     The joint search is seeded with the tensor product of the locally optimal
     mixings, which is itself a valid separable representation of the joint
@@ -387,5 +383,5 @@ def tensor_bound_check(local_channels,
         local_values=tuple(est.value for est in locals_found),
         product_bound=bound,
         slack=slack,
-        ok=joint_est.value <= bound + tol,
+        ok=joint_est.value <= bound + TENSOR_BOUND_TOL,
     )

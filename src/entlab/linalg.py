@@ -9,7 +9,7 @@ across threads.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -21,6 +21,7 @@ NORM_TOL = 1e-12
 HERMITIAN_TOL = 1e-12
 TRACE_TOL = 1e-12
 EIGENVALUE_FLOOR = -1e-10
+NORMALIZED_TOL = 1e-10
 
 
 def as_complex_matrix(a, rows: int | None = None, cols: int | None = None) -> np.ndarray:
@@ -131,8 +132,8 @@ class PureState:
     def is_normalized(self) -> bool:
         return abs(self.weight - 1.0) <= NORM_TOL
 
-    def require_normalized(self, tol: float = 1e-10) -> None:
-        if abs(self.weight - 1.0) > tol:
+    def require_normalized(self) -> None:
+        if abs(self.weight - 1.0) > NORMALIZED_TOL:
             raise ValueError(f"state is not normalized: <psi|psi> = {self.weight!r}")
 
     def normalized(self) -> "PureState":
@@ -183,9 +184,6 @@ class DensityMatrix:
 
     def normalized(self) -> "DensityMatrix":
         return DensityMatrix(self.mat / self.trace, self.dims)
-
-    def rank(self, tol: float = 1e-10) -> int:
-        return int(np.sum(np.linalg.eigvalsh(self.mat) > tol))
 
 
 def kron(a, b) -> np.ndarray:
@@ -276,7 +274,6 @@ class SchmidtDecomposition:
     coeffs: np.ndarray
     left: np.ndarray
     right: np.ndarray
-    cut: tuple[int, ...] = field(default=())
 
 
 def schmidt_decompose(psi: PureState, cut) -> SchmidtDecomposition:
@@ -295,4 +292,4 @@ def schmidt_decompose(psi: PureState, cut) -> SchmidtDecomposition:
     d_b = math.prod(dims[r] for r in rest)
     m = t.reshape(d_a, d_b)
     u, s, vh = np.linalg.svd(m, full_matrices=False)
-    return SchmidtDecomposition(coeffs=s, left=u, right=vh, cut=tuple(cut))
+    return SchmidtDecomposition(coeffs=s, left=u, right=vh)

@@ -25,6 +25,7 @@ SIGMA_Z = np.array([[1.0, 0.0], [0.0, -1.0]], dtype=np.complex128)
 _YY = np.kron(SIGMA_Y, SIGMA_Y).real.astype(np.complex128)
 
 _FD_STEP = 1e-6
+SL_INVARIANCE_TRIALS = 20
 
 
 @dataclass(frozen=True)
@@ -266,8 +267,9 @@ def wootters_concurrence(rho: DensityMatrix) -> float:
     return float(max(0.0, lam[0] - lam[1] - lam[2] - lam[3]))
 
 
-def sl_invariance_deviation(measure: Measure, rng, trials: int = 20) -> float:
-    """Largest relative deviation of the measure under random SL factors.
+def sl_invariance_deviation(measure: Measure, rng) -> float:
+    """Largest relative deviation of the measure under random SL factors,
+    over 20 random states.
 
     Numerical spot check for plug-in polynomial measures; a genuinely
     SL-invariant measure stays below ~1e-8 on well-conditioned draws.
@@ -277,7 +279,7 @@ def sl_invariance_deviation(measure: Measure, rng, trials: int = 20) -> float:
 
     g = as_generator(rng)
     worst = 0.0
-    for _ in range(trials):
+    for _ in range(SL_INVARIANCE_TRIALS):
         psi = random_pure_state(measure.dims, g)
         sl = kron_all([random_sl(d, g) for d in measure.dims])
         mapped = PureState(sl @ psi.amps, measure.dims)

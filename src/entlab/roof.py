@@ -31,20 +31,16 @@ from .stiefel import minimize_on_stiefel
 
 EIGENVALUE_CUT = 1e-12
 POLY_ZERO = 1e-200
+GRADIENT_TOLERANCE = 1e-8
 
 
 @dataclass(frozen=True)
 class RoofOptions:
-    """Knobs of the roof search.
+    """Knobs of the roof search.  Ensembles have rank(rho)**2 members, which
+    covers the known optimal-decomposition cardinality bounds."""
 
-    ``ensemble_size`` defaults to rank(rho)**2, which covers the known
-    optimal-decomposition cardinality bounds; it must be >= rank(rho).
-    """
-
-    ensemble_size: int | None = None
     restarts: int = 20
     max_iterations: int = 2000
-    gradient_tolerance: float = 1e-8
     seed: int = 0
 
 
@@ -114,16 +110,14 @@ def _ensemble_search(rho: DensityMatrix, stages, opts, gradient_tolerance: float
     stacked descent objective of the mixing isometries.  All
     ``opts.restarts`` restarts run each stage as one stack, restart j from
     the Haar-random isometry of ``stream.child(j)`` with
-    ``opts.ensemble_size`` rows, by default rank * max(rank, target).  The
-    result reports the restarts a one-by-one search would have run, which
-    stops at the first restart whose value falls below ``stop_below``, and
-    holds the best of them with its normalized ensemble.
+    rank * max(rank, target) rows.  The result reports the restarts a
+    one-by-one search would have run, which stops at the first restart
+    whose value falls below ``stop_below``, and holds the best of them with
+    its normalized ensemble.
     """
     lam, vecs = _eigenbasis(rho)
     rank = lam.size
-    m = opts.ensemble_size if opts.ensemble_size is not None else rank * max(rank, target)
-    if m < rank:
-        raise ValueError(f"ensemble size {m} below rank {rank}")
+    m = rank * max(rank, target)
     basis = np.sqrt(lam)[:, None] * vecs.T
     objectives = [(make(basis), budget) for make, budget in stages]
     stream = RandomStream(opts.seed)
@@ -173,4 +167,4 @@ def convex_roof(measure: Measure, rho: DensityMatrix,
     stages = [(partial(_ensemble_objective, measure, mu=mu), max(1, budget))
               for mu, budget in ((1e-2, quarter), (1e-5, quarter),
                                  (0.0, opts.max_iterations - 2 * quarter))]
-    return _ensemble_search(rho, stages, opts, opts.gradient_tolerance)
+    return _ensemble_search(rho, stages, opts, GRADIENT_TOLERANCE)

@@ -14,6 +14,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .linalg import DensityMatrix, PureState, _as_local_dims
+from .stiefel import qf_retract
 
 SL_MIN_SINGULAR_VALUE = 1e-6
 SL_MAX_REDRAWS = 100
@@ -58,11 +59,7 @@ def random_haar_unitary(d: int, rng) -> np.ndarray:
     """Haar-distributed d x d unitary (QR of a Ginibre draw, phase-fixed)."""
     if d < 1:
         raise ValueError("dimension must be >= 1")
-    g = ginibre(d, d, rng)
-    q, r = np.linalg.qr(g)
-    diag = np.diagonal(r)
-    phases = diag / np.abs(diag)
-    return q * phases
+    return qf_retract(ginibre(d, d, rng))
 
 
 def random_sl(d: int, rng) -> np.ndarray:
@@ -109,7 +106,4 @@ def random_isometry(rows: int, cols: int, rng) -> np.ndarray:
     """Haar-random isometry with orthonormal columns (rows >= cols)."""
     if rows < cols:
         raise ValueError("isometry needs rows >= cols")
-    q, r = np.linalg.qr(ginibre(rows, cols, rng))
-    diag = np.diagonal(r)
-    phases = diag / np.abs(diag)
-    return q * phases
+    return qf_retract(ginibre(rows, cols, rng))

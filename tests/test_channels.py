@@ -187,10 +187,8 @@ class TestVerifyEvolution:
             verify_evolution(bit_flip_correlated(0.3), prod, concurrence())
 
     def test_mixed_input_without_exact_oracle_is_flagged(self):
-        from entlab.roof import RoofOptions
         ch = embed_one_sided([np.eye(2, dtype=complex)], 0, (2, 2, 2))
-        rep = verify_evolution(ch, ghz_state().density(), sqrt_three_tangle(),
-                               roof_opts=RoofOptions(restarts=2, max_iterations=200))
+        rep = verify_evolution(ch, ghz_state().density(), sqrt_three_tangle())
         assert not rep.exact
         assert rep.aggregate_residual < 1e-4
 

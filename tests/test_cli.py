@@ -119,6 +119,12 @@ class TestExitCodes:
         assert run(["verify", "--random-channel", "--trials", "0"]) == 2
         assert "--trials" in capsys.readouterr().err
 
+    def test_search_that_gives_up_exits_four(self, monkeypatch, capsys):
+        # every drawn input looks separable, so the input search gives up
+        monkeypatch.setattr("entlab.cli.measure_pure", lambda measure, psi: 0.0)
+        assert run(["verify", "--random-channel", "--dims", "2,2"]) == 4
+        assert "entlab: no entangled input found" in capsys.readouterr().err
+
     def test_malformed_pure_state_entry_is_usage_error(self, bitflip_file, tmp_path):
         path = tmp_path / "bad_state.json"
         path.write_text(json.dumps({"dims": [2, 2], "type": "pure",

@@ -135,16 +135,11 @@ class TestErfMinimize:
         assert est.mixing_isometry.shape == (3, 2)
         assert est.value <= decay_factor(ch) + 1e-12
 
-    def test_penalty_weights_must_increase(self):
-        with pytest.raises(ValueError, match="increasing"):
-            MixingSearchOptions(penalty_weights=(10.0, 10.0))
-
     def test_failed_search_falls_back_to_given_representation(self):
-        # with a negligible penalty and a single step the searched endpoints
-        # stay non-separable, so only the given representation is feasible
+        # with a single step per penalty stage the searched endpoints stay
+        # non-separable, so only the given representation is feasible
         ch = bit_flip_correlated(0.3)
-        est = erf_minimize(ch, MixingSearchOptions(
-            restarts=2, max_iterations=1, penalty_weights=(1e-9, 2e-9)))
+        est = erf_minimize(ch, MixingSearchOptions(restarts=2, max_iterations=1))
         assert not est.search_feasible
         assert abs(est.value - decay_factor(ch)) < 1e-12
 

@@ -271,11 +271,11 @@ class TestPolynomialPlugin:
         assert np.max(np.abs(fd - exact)) < 1e-8
 
     def test_invariance_spot_check(self):
-        dev = sl_invariance_deviation(concurrence(), RNG.child(10), trials=10)
+        dev = sl_invariance_deviation(concurrence(), RNG.child(10))
         assert dev < 1e-8
 
     def test_non_invariant_polynomial_is_flagged(self):
         bogus = polynomial_measure(lambda psi: complex(psi[0] ** 2), degree=2,
                                    dims=(2, 2), name="bogus")
-        dev = sl_invariance_deviation(bogus, RNG.child(11), trials=10)
+        dev = sl_invariance_deviation(bogus, RNG.child(11))
         assert dev > 1e-3

@@ -98,12 +98,6 @@ def test_result_ensemble_invariants():
     assert abs(avg - res.value) < 1e-10
 
 
-def test_ensemble_size_below_rank_rejected():
-    rho = random_density((2, 2), 3, RNG.child(8))
-    with pytest.raises(ValueError, match="ensemble size"):
-        convex_roof(concurrence(), rho, RoofOptions(ensemble_size=2, restarts=1))
-
-
 def test_best_restart_index_is_deterministic():
     rho = random_density((2, 2), 2, RNG.child(9))
     a = convex_roof(concurrence(), rho, FAST)

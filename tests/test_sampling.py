@@ -3,8 +3,9 @@
 import numpy as np
 import pytest
 
-from entlab.sampling import (RandomStream, random_density, random_haar_unitary,
-                             random_isometry, random_pure_state, random_sl)
+from entlab.sampling import (RandomStream, ginibre, random_density,
+                             random_haar_unitary, random_isometry,
+                             random_pure_state, random_sl)
 
 
 def test_stream_reproducibility_is_bit_exact():
@@ -85,3 +86,21 @@ def test_random_density_rank_out_of_range():
 def test_random_isometry_has_orthonormal_columns():
     v = random_isometry(6, 3, RandomStream(17))
     assert np.linalg.norm(v.conj().T @ v - np.eye(3)) < 1e-12
+
+
+@pytest.mark.parametrize("draw,rows,cols", [
+    (lambda rows, cols, s: random_haar_unitary(rows, s), 1, 1),
+    (lambda rows, cols, s: random_haar_unitary(rows, s), 4, 4),
+    (random_isometry, 3, 3),
+    (random_isometry, 6, 3),
+    (random_isometry, 9, 2),
+])
+def test_haar_draws_fix_the_qr_phases(draw, rows, cols):
+    # Q^dag G is the R factor of the Ginibre draw G behind Q: upper triangular
+    # with a positive real diagonal, which fixes Q uniquely
+    for i in range(20):
+        stream = RandomStream(31, (rows, cols, i))
+        r = draw(rows, cols, stream).conj().T @ ginibre(rows, cols, stream)
+        assert np.max(np.abs(np.tril(r, -1))) < 1e-12
+        diag = np.diagonal(r)
+        assert np.all(diag.real > 0) and np.max(np.abs(diag.imag)) < 1e-12
