@@ -26,8 +26,8 @@ from .channels import (ChannelDiagnostics, EvolutionReport, Outcome,
                        validate, verify_evolution)
 from .erf import (ErfBounds, ErfEstimate, MixingSearchOptions,
                   TensorBoundReport, erf_bounds, erf_minimize,
-                  nearest_product_operator, tensor_bound_check)
-from .breaking import (PebReport, SchmidtNumberCertificate, SchmidtReport,
+                  tensor_bound_check)
+from .breaking import (PebReport, SchmidtNumberCertificate,
                        SchmidtSearchOptions, ThresholdReport,
                        eb_threshold_scan, is_ppt, is_separable_small,
                        r_peb_test, schmidt_number_upper, schmidt_rank)

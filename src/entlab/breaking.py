@@ -30,20 +30,6 @@ PROBE_REDRAWS = 100
 SCAN_GRID_POINTS = 9
 
 
-@dataclass(frozen=True)
-class SchmidtReport:
-    """Schmidt evidence for one state.
-
-    ``method`` is one of 'ppt-2x2', 'ppt-2x3' or 'roof-search'.  A report
-    carries either an exact separability verdict (small dims) or a certified
-    ``number_upper``.
-    """
-
-    method: str
-    number_upper: int | None = None
-    separable: bool | None = None
-
-
 def schmidt_rank(psi: PureState, cut) -> int:
     """Number of Schmidt coefficients above 1e-8 across the bipartition."""
     dec = schmidt_decompose(psi, cut)
@@ -153,8 +139,13 @@ def schmidt_number_upper(rho: DensityMatrix, target: int,
 
 @dataclass(frozen=True)
 class ProbeVerdict:
+    """Breaking verdict on one probe's output.
+
+    ``method`` is one of 'ppt-2x2', 'ppt-2x3' or 'roof-search'.
+    """
+
     probe_index: int  # -1 is the maximally entangled probe
-    report: SchmidtReport
+    method: str
     breaking: bool | None  # exact verdict where available
 
 
@@ -180,21 +171,19 @@ def _full_rank_probe(d: int, rng) -> PureState:
 
 
 def _probe_verdict(out: DensityMatrix, target: int,
-                   opts: SchmidtSearchOptions) -> tuple[SchmidtReport, bool | None]:
+                   opts: SchmidtSearchOptions) -> tuple[str, bool | None]:
+    """(method, breaking verdict) for one probe's output."""
     d_a, d_b = out.dims.dims
     small = tuple(sorted((d_a, d_b))) in ((2, 2), (2, 3))
     if target == 1 and small:
-        sep = is_separable_small(out)
         method = "ppt-2x2" if (d_a, d_b) == (2, 2) else "ppt-2x3"
-        return SchmidtReport(method=method, separable=sep,
-                             number_upper=1 if sep else None), sep
+        return method, is_separable_small(out)
     if target == 1 and not is_ppt(out):
         # NPT is an exact negative for separability in any dimension
-        return SchmidtReport(method="roof-search", separable=False), False
-    cert = schmidt_number_upper(out, target, opts)
-    if cert.found:
-        return SchmidtReport(method="roof-search", number_upper=target), True
-    return SchmidtReport(method="roof-search", number_upper=None), None
+        return "roof-search", False
+    if schmidt_number_upper(out, target, opts).found:
+        return "roof-search", True
+    return "roof-search", None
 
 
 def r_peb_test(local_ops, target: int, probes: int = 20,
@@ -215,8 +204,8 @@ def r_peb_test(local_ops, target: int, probes: int = 20,
     verdicts = []
     for i in range(-1, probes):
         probe = max_entangled_state(d) if i < 0 else _full_rank_probe(d, stream.child(i))
-        report, flag = _probe_verdict(apply(extended, probe.density()), target, opts)
-        verdicts.append(ProbeVerdict(i, report, flag))
+        method, flag = _probe_verdict(apply(extended, probe.density()), target, opts)
+        verdicts.append(ProbeVerdict(i, method, flag))
 
     reference = verdicts[0].breaking
     divergent = tuple(v.probe_index for v in verdicts[1:]

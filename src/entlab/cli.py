@@ -317,7 +317,7 @@ def cmd_breaking(args):
                         seed=args.seed)
     records = [{
         "probe": v.probe_index,
-        "method": v.report.method,
+        "method": v.method,
         "breaking": v.breaking,
     } for v in report.verdicts]
     summary = {
@@ -364,14 +364,17 @@ def build_parser() -> argparse.ArgumentParser:
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def common(p):
-        p.add_argument("--seed", type=int, default=0)
-        p.add_argument("--out", default=None, help="report path (default stdout)")
-        p.add_argument("--format", choices=("json", "csv"), default="json")
-        p.add_argument("--dims", default="2,2", help="local dims, e.g. 2,2")
+    # options shared by several commands, each given only to those that read it
+    output = argparse.ArgumentParser(add_help=False)
+    output.add_argument("--out", default=None, help="report path (default stdout)")
+    output.add_argument("--format", choices=("json", "csv"), default="json")
+    seeded = argparse.ArgumentParser(add_help=False)
+    seeded.add_argument("--seed", type=int, default=0)
+    sized = argparse.ArgumentParser(add_help=False)
+    sized.add_argument("--dims", default="2,2", help="local dims, e.g. 2,2")
 
-    p = sub.add_parser("verify", help="check the decay identity outcome by outcome")
-    common(p)
+    p = sub.add_parser("verify", parents=[output, seeded, sized],
+                       help="check the decay identity outcome by outcome")
     p.add_argument("--channel", help="channel JSON file")
     p.add_argument("--family", help="named channel family")
     p.add_argument("--param", type=float, default=0.3)
@@ -386,14 +389,14 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--trials", type=int, default=1)
     p.add_argument("--tol", type=float, default=None)
 
-    p = sub.add_parser("decay", help="determinant weights of a representation")
-    common(p)
+    p = sub.add_parser("decay", parents=[output, sized],
+                       help="determinant weights of a representation")
     p.add_argument("--channel")
     p.add_argument("--family")
     p.add_argument("--param", type=float, default=0.3)
 
-    p = sub.add_parser("erf", help="search separable representations")
-    common(p)
+    p = sub.add_parser("erf", parents=[output, seeded, sized],
+                       help="search separable representations")
     p.add_argument("--channel")
     p.add_argument("--family")
     p.add_argument("--param", type=float, default=0.3)
@@ -404,8 +407,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--max-iterations", type=int, default=120)
     p.add_argument("--extra", type=int, default=0)
 
-    p = sub.add_parser("roof", help="convex-roof value of a mixed state")
-    common(p)
+    p = sub.add_parser("roof", parents=[output, seeded],
+                       help="convex-roof value of a mixed state")
     p.add_argument("--state")
     p.add_argument("--state-family")
     p.add_argument("--param", type=float, default=0.5, help="state family parameter")
@@ -414,8 +417,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--restarts", type=int, default=20)
     p.add_argument("--max-iterations", type=int, default=300)
 
-    p = sub.add_parser("breaking", help="partial entanglement-breaking scan")
-    common(p)
+    p = sub.add_parser("breaking", parents=[output, seeded],
+                       help="partial entanglement-breaking scan")
     p.add_argument("--family", required=True)
     p.add_argument("--r", type=int, default=1)
     p.add_argument("--param", type=float, default=0.5)
@@ -424,8 +427,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--range", default="0:1", help="bisection range lo:hi")
     p.add_argument("--bisect-tol", type=float, default=1e-3)
 
-    p = sub.add_parser("sweep", help="parameter sweep emitting plot-ready data")
-    common(p)
+    p = sub.add_parser("sweep", parents=[output, seeded, sized],
+                       help="parameter sweep emitting plot-ready data")
     p.add_argument("--family", required=True)
     p.add_argument("--param-range", default="0:1:0.05")
     p.add_argument("--gamma", dest="param_range", help="alias for --param-range")

@@ -3,10 +3,12 @@ Kraus representations of a channel.
 
 Alternative representations are parametrized by isometries U mixing the given
 Kraus list, ``K~_j = sum_m U_jm K_m``; separability of every mixed operator is
-enforced softly through a graduated penalty on product residuals, with a hard
-feasibility threshold at the end.  The reported value is an upper bound on
-the true minimum by construction (it minimizes over a searched subset of
-representations); infeasible searches are reported, never silently rounded.
+enforced softly through a graduated penalty on the realignment terms of
+:func:`_split_terms`, and the same terms decide feasibility at the end.  The
+reported value minimizes over a searched subset of representations whose
+operators are products only up to the 1e-6 separability threshold, so it can
+sit slightly below the true minimum; infeasible searches are reported, never
+silently rounded.
 """
 
 from __future__ import annotations
@@ -16,10 +18,10 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .channels import (SeparableChannel, SeparableKrausOperator,
-                       _branch_entanglement, _mixed_entanglement, apply,
-                       apply_kraus, tensor_channels)
-from .linalg import PureState, _as_local_dims, as_complex_matrix, kron_all
+from .channels import (SeparableChannel, _branch_entanglement,
+                       _mixed_entanglement, apply, apply_kraus, decay_factor,
+                       tensor_channels)
+from .linalg import PureState, as_complex_matrix
 from .measures import Measure, adjugate
 from .sampling import RandomStream, random_density, random_isometry
 from .stiefel import minimize_on_stiefel
@@ -33,7 +35,7 @@ TENSOR_BOUND_TOL = 1e-6
 
 
 # ---------------------------------------------------------------------------
-# nearest product operator
+# realignment
 
 def _split_perm(n: int, t: int) -> list[int]:
     """Axis permutation grouping party t's (row, col) indices first."""
@@ -66,79 +68,37 @@ def _unrealign(r: np.ndarray, dims, t: int) -> np.ndarray:
         list(range(len(lead))) + [len(lead) + p for p in inv]).reshape(lead + [d, d])
 
 
-def _zero_factors(dims) -> tuple[np.ndarray, ...]:
-    out = [np.zeros((dims[0], dims[0]), dtype=np.complex128)]
-    out += [np.eye(d, dtype=np.complex128) for d in list(dims)[1:]]
-    return tuple(out)
+def _cuts(n: int) -> list[int]:
+    """Parties t whose realignment the separability terms use: the one cut
+    of two parties, every single-party cut of three or more, none of one."""
+    return [0] if n == 2 else list(range(n)) if n > 2 else []
 
 
-def nearest_product_operator(k, dims) -> tuple[tuple[np.ndarray, ...], float]:
-    """Best tensor-product approximation of a joint-space operator.
+def _libm_square(x: np.ndarray) -> np.ndarray:
+    """Squares as the C library's pow rounds them, which is how a numpy
+    scalar's ``** 2`` rounds; numpy's array square differs in the last bit on
+    about 0.1% of inputs, and the search amplifies such differences."""
+    return np.array([math.pow(v, 2.0) for v in x.tolist()])
 
-    Returns factors (A_1, ..., A_n) minimizing ||K - A_1 x ... x A_n||_F and
-    the relative residual of the fit.  Bipartite operators use the leading
-    term of the operator-Schmidt decomposition; more parties use an
-    alternating (higher-order power) fit initialized from the bipartite
-    splits.  The zero operator is a product by convention (residual 0).
+
+def _split_terms(kt: np.ndarray, dims) -> np.ndarray:
+    """Separability terms 1 - s1^2/||K||^2 of a stack of operators, one
+    column per cut of :func:`_cuts`, where s1 is the leading singular value
+    of K realigned around party t.
+
+    A term vanishes exactly when K factors across its cut; for two parties
+    its square root is the relative distance ||K - A x B|| / ||K|| to the
+    nearest product (Eckart-Young).  Operators of (numerically) zero norm
+    carry no terms.
     """
-    dims = _as_local_dims(dims)
-    d = dims.total
-    k = as_complex_matrix(k, d, d)
-    n = dims.n_parties
-    if n == 1:
-        return (k,), 0.0
-    norm2 = float(np.vdot(k, k).real)
-    if norm2 < NORM_ZERO ** 2:
-        return _zero_factors(dims), 0.0
-
-    if n == 2:
-        r = _realign(k, dims, 0)
-        u, s, vh = np.linalg.svd(r, full_matrices=False)
-        lead = math.sqrt(s[0])
-        a = lead * u[:, 0].reshape(dims[0], dims[0])
-        # svd returns rows of vh as v_k^dag, which is already the conjugate
-        b = lead * vh[0, :].reshape(dims[1], dims[1])
-        factors = (a, b)
-        # direct difference avoids cancellation when the fit is near exact
-        residual = float(np.linalg.norm(k - np.kron(a, b)) / math.sqrt(norm2))
-        return factors, residual
-
-    # alternating rank-1 fit on the party-operator tensor
-    tensor = k.reshape(list(dims) + list(dims))
-    tensor = tensor.transpose([ax for t in range(n) for ax in (t, n + t)])
-    tensor = tensor.reshape([dd * dd for dd in dims])
-    modes = []
-    for t in range(n):
-        u, s, _ = np.linalg.svd(_realign(k, dims, t), full_matrices=False)
-        modes.append(u[:, 0])
-    overlap = 0.0
-    for _ in range(200):
-        prev = overlap
-        for t in range(n):
-            contracted = tensor
-            for s_idx in range(n - 1, -1, -1):
-                if s_idx == t:
-                    continue
-                contracted = np.tensordot(contracted, modes[s_idx].conj(), axes=([s_idx], [0]))
-            nrm = np.linalg.norm(contracted)
-            if nrm < NORM_ZERO:
-                return _zero_factors(dims), 0.0
-            modes[t] = contracted / nrm
-        full = tensor
-        for s_idx in range(n - 1, -1, -1):
-            full = np.tensordot(full, modes[s_idx].conj(), axes=([s_idx], [0]))
-        overlap = complex(full)
-        if abs(abs(overlap) - abs(prev)) <= 1e-13 * max(1.0, abs(overlap)):
-            break
-    scale = abs(overlap) ** (1.0 / n)
-    factors = []
-    for t in range(n):
-        f = scale * modes[t].reshape(dims[t], dims[t])
-        if t == 0 and abs(overlap) > 0:
-            f = f * (overlap / abs(overlap))
-        factors.append(f)
-    residual = float(np.linalg.norm(k - kron_all(factors)) / math.sqrt(norm2))
-    return tuple(factors), residual
+    norms2 = np.einsum("jab,jab->j", kt, kt.conj()).real
+    ok = norms2 >= NORM_ZERO ** 2
+    cuts = _cuts(len(dims))
+    terms = np.zeros((kt.shape[0], len(cuts)))
+    for col, t in enumerate(cuts):
+        ss = np.linalg.svd(_realign(kt[ok], dims, t), compute_uv=False)
+        terms[ok, col] = 1.0 - _libm_square(ss[:, 0]) / norms2[ok]
+    return terms
 
 
 # ---------------------------------------------------------------------------
@@ -166,10 +126,13 @@ class MixingSearchOptions:
 class ErfEstimate:
     """Outcome of the representation search.
 
-    ``value`` is the best feasible determinant sum found (an upper bound on
-    the true resilience factor).  ``search_feasible`` records whether any
-    searched alternative met the separability threshold; when none did, the
-    value falls back to the given representation.
+    ``value`` is the best feasible determinant sum found, never above
+    :func:`decay_factor`; a searched value can sit below the true resilience
+    factor by the slack of the 1e-6 separability threshold.
+    ``separability_residual`` is the square root of the chosen
+    representation's largest summed separability term (0 for the given one).
+    ``search_feasible`` records whether any searched alternative met the
+    threshold; when none did, the value falls back to the given representation.
     """
 
     value: float
@@ -184,38 +147,45 @@ def _mix(ks: np.ndarray, u: np.ndarray) -> np.ndarray:
     return np.einsum("...jm,mab->...jab", u, ks)
 
 
-def _representation_value(joints, dims):
-    """Spec objective on projected product factors, plus feasibility data."""
-    value = 0.0
-    max_residual = 0.0
-    for k in joints:
-        factors, residual = nearest_product_operator(k, dims)
-        max_residual = max(max_residual, residual)
-        value += SeparableKrausOperator(factors).det_weight()
-    return value, max_residual, max_residual < SEPARABILITY_THRESHOLD
-
-
-def _libm_square(x: np.ndarray) -> np.ndarray:
-    """Squares as the C library's pow rounds them, which is how a numpy
-    scalar's ``** 2`` rounds; numpy's array square differs in the last bit on
-    about 0.1% of inputs, and the search amplifies such differences."""
-    return np.array([math.pow(v, 2.0) for v in x.tolist()])
-
-
 def _search_objective(ks: np.ndarray, dims, weight: float):
-    """Smooth inner objective: |det K~|^(2/D) sum plus split-residual penalty,
-    for a stack of mixing isometries.
+    """Smooth inner objective: |det K~|^(2/D) sum plus the weighted sum of the
+    separability terms of :func:`_split_terms`, for a stack of mixing
+    isometries.
 
-    The determinant term agrees with the projected-factor objective exactly
-    at product operators, which is where the penalty drives the search.  The
-    mixed operators of every restart form one stack, so each split costs one
-    SVD call and the determinants one call.
+    The mixed operators of every restart form one stack, so each cut costs
+    one SVD call and the determinants one call.
     """
     dims_t = tuple(dims)
-    n = len(dims_t)
     d = math.prod(dims_t)
-    splits = [0] if n == 2 else list(range(n)) if n > 2 else []
+    cuts = _cuts(len(dims_t))
     expo = 2.0 / d
+
+    def terms_and_grad(kt, dets, absdet):
+        """The terms of :func:`_split_terms` from the full SVD, whose singular
+        vectors the gradient needs, and the gradient of the whole objective
+        with respect to each operator."""
+        grads = np.zeros_like(kt)
+        live = absdet > DET_ZERO
+        if np.any(live):
+            adj = adjugate(kt[live])
+            coeff = (expo / 2.0) * absdet[live] ** (expo - 2.0) * dets[live]
+            grads[live] += coeff[:, None, None] * np.conj(np.transpose(adj, (0, 2, 1)))
+        norms2 = np.einsum("jab,jab->j", kt, kt.conj()).real
+        ok = norms2 >= NORM_ZERO ** 2
+        norms2_ok = norms2[ok]
+        terms = np.zeros((kt.shape[0], len(cuts)))
+        for col, t in enumerate(cuts):
+            r = _realign(kt[ok], dims_t, t)
+            uu, ss, vvh = np.linalg.svd(r, full_matrices=False)
+            s1 = ss[:, 0]
+            s1_sq = _libm_square(s1)
+            terms[ok, col] = 1.0 - s1_sq / norms2_ok
+            # d(s1^2)/dR~ = s1 u1 v1^dag; vvh rows already carry the dagger
+            lead = uu[:, :, 0, None] * vvh[:, None, 0, :]
+            g_r = (s1_sq / _libm_square(norms2_ok))[:, None, None] * r \
+                - (s1 / norms2_ok)[:, None, None] * lead
+            grads[ok] += weight * _unrealign(g_r, dims_t, t)
+        return terms, grads
 
     def fun(u, need_grad):
         restarts, j = u.shape[:2]
@@ -223,38 +193,13 @@ def _search_objective(ks: np.ndarray, dims, weight: float):
         dets = np.linalg.det(kt)
         absdet = np.abs(dets)
         value = np.sum((absdet ** expo).reshape(restarts, j), axis=1)
-        norms2 = np.einsum("jab,jab->j", kt, kt.conj()).real
-        grads = np.zeros_like(kt) if need_grad else None
-
         if need_grad:
-            live = absdet > DET_ZERO
-            if np.any(live):
-                adj = adjugate(kt[live])
-                coeff = (expo / 2.0) * absdet[live] ** (expo - 2.0) * dets[live]
-                grads[live] += coeff[:, None, None] * np.conj(np.transpose(adj, (0, 2, 1)))
-
-        # operators of (numerically) zero norm carry no penalty
-        ok = norms2 >= NORM_ZERO ** 2
-        norms2_ok = norms2[ok]
-        terms = np.zeros((restarts * j, len(splits)))
-        for col, t in enumerate(splits):
-            r = _realign(kt[ok], dims_t, t)
-            if need_grad:
-                uu, ss, vvh = np.linalg.svd(r, full_matrices=False)
-                s1 = ss[:, 0]
-                s1_sq = _libm_square(s1)
-                terms[ok, col] = 1.0 - s1_sq / norms2_ok
-                # d(s1^2)/dR~ = s1 u1 v1^dag; vvh rows already carry the dagger
-                lead = uu[:, :, 0, None] * vvh[:, None, 0, :]
-                g_r = (s1_sq / _libm_square(norms2_ok))[:, None, None] * r \
-                    - (s1 / norms2_ok)[:, None, None] * lead
-                grads[ok] += weight * _unrealign(g_r, dims_t, t)
-            else:
-                ss = np.linalg.svd(r, compute_uv=False)
-                terms[ok, col] = 1.0 - _libm_square(ss[:, 0]) / norms2_ok
-        # summed operator by operator, split by split, in order
+            terms, grads = terms_and_grad(kt, dets, absdet)
+        else:
+            terms = _split_terms(kt, dims_t)
+        # summed operator by operator, cut by cut, in order
         penalty = np.add.accumulate(terms.reshape(restarts, -1), axis=1)[:, -1] \
-            if splits else np.zeros(restarts)
+            if cuts else np.zeros(restarts)
         value = value + weight * penalty
         if not need_grad:
             return value, None
@@ -269,12 +214,15 @@ def erf_minimize(channel: SeparableChannel,
                  initial_mixings=()) -> ErfEstimate:
     """Search separable Kraus representations for the smallest decay factor.
 
-    The given representation is always a candidate, so the result can only
-    improve on :func:`decay_factor`.  Extra starting isometries (e.g. products
+    The given representation is always a candidate, so the result never
+    exceeds :func:`decay_factor`.  Extra starting isometries (e.g. products
     of locally optimal mixings for tensor-product channels) can be supplied
     through ``initial_mixings``.  Every start, random or supplied, runs each
     penalty stage as one stack.  The physical channel is asserted unchanged
     at every accepted iterate of every start.
+
+    A searched endpoint is feasible when every mixed operator's summed
+    separability terms lie below ``SEPARABILITY_THRESHOLD**2``.
     """
     ks = np.stack(channel.joint_ops)
     m = ks.shape[0]
@@ -292,9 +240,10 @@ def erf_minimize(channel: SeparableChannel,
         if np.any(np.linalg.norm(out - reference, axis=(1, 2)) > 1e-8):
             raise RuntimeError("Kraus mixing stopped preserving the channel")
 
-    candidates = []  # (value, residual, isometry, from_search, feasible)
-    value0, res0, feas0 = _representation_value(channel.joint_ops, dims)
-    candidates.append((value0, res0, identity, False, feas0))
+    # the given representation is separable by type
+    values = np.array([decay_factor(channel)])
+    residuals = np.zeros(1)
+    isometries = identity[None]
 
     starts = [random_isometry(j, m, stream.child(i)) for i in range(opts.restarts)]
     starts += [as_complex_matrix(u, j, m) for u in initial_mixings]
@@ -306,20 +255,23 @@ def erf_minimize(channel: SeparableChannel,
                                       gradient_tolerance=1e-10,
                                       callback=assert_channel_preserved)
             us = res.points
-        for u in us:
-            value, residual, feasible = _representation_value(_mix(ks, u), dims)
-            candidates.append((value, residual, u, True, feasible))
+        kt = _mix(ks, us)
+        d = dims.total
+        worst = np.max(np.sum(_split_terms(kt.reshape(-1, d, d), dims), axis=1)
+                       .reshape(len(us), j), axis=1)
+        feasible = worst < SEPARABILITY_THRESHOLD ** 2
+        searched = np.sum(np.abs(np.linalg.det(kt)) ** (2.0 / d), axis=1)
+        values = np.concatenate((values, searched[feasible]))
+        residuals = np.concatenate((residuals, np.sqrt(np.maximum(worst[feasible], 0.0))))
+        isometries = np.concatenate((isometries, us[feasible]))
 
-    feasible = [c for c in candidates if c[4]]
-    search_feasible = any(c[3] for c in feasible)
-    pool = feasible if feasible else candidates[:1]
-    best = min(pool, key=lambda c: c[0])
+    best = int(np.argmin(values))
     return ErfEstimate(
-        value=best[0],
-        separability_residual=best[1],
-        mixing_isometry=best[2],
-        search_feasible=search_feasible,
-        feasible_values=tuple(sorted(c[0] for c in feasible)),
+        value=float(values[best]),
+        separability_residual=float(residuals[best]),
+        mixing_isometry=isometries[best],
+        search_feasible=values.size > 1,
+        feasible_values=tuple(sorted(values.tolist())),
     )
 
 
@@ -353,7 +305,6 @@ def erf_bounds(channel: SeparableChannel, rho, measure: Measure) -> ErfBounds:
 class TensorBoundReport:
     joint_value: float
     local_values: tuple[float, ...]
-    product_bound: float
     slack: float
     ok: bool
 
@@ -381,7 +332,6 @@ def tensor_bound_check(local_channels,
     return TensorBoundReport(
         joint_value=joint_est.value,
         local_values=tuple(est.value for est in locals_found),
-        product_bound=bound,
         slack=slack,
         ok=joint_est.value <= bound + TENSOR_BOUND_TOL,
     )

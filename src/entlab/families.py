@@ -9,7 +9,7 @@ import numpy as np
 from .channels import SeparableChannel, SeparableKrausOperator, embed_one_sided
 from .linalg import DensityMatrix, LocalDims, PureState, _as_local_dims
 from .measures import SIGMA_X, SIGMA_Y, SIGMA_Z
-from .sampling import as_generator, ginibre, random_haar_unitary
+from .sampling import as_generator, random_haar_unitary, random_isometry
 
 
 # --- reference states -------------------------------------------------------
@@ -91,8 +91,7 @@ def random_local_kraus(d: int, count: int, rng) -> list[np.ndarray]:
     """Random CPTP Kraus list on dimension d via a Haar-random isometry."""
     if count < 1:
         raise ValueError("need at least one Kraus operator")
-    g = as_generator(rng)
-    q, _ = np.linalg.qr(ginibre(d * count, d, g))
+    q = random_isometry(d * count, d, rng)
     return [q[i * d:(i + 1) * d, :] for i in range(count)]
 
 

@@ -9,7 +9,7 @@ import pytest
 from entlab.channels import (SeparableChannel, SeparableKrausOperator, apply,
                              apply_kraus, decay_factor, embed_one_sided)
 from entlab.erf import (MixingSearchOptions, erf_bounds, erf_minimize,
-                        nearest_product_operator, tensor_bound_check, _mix)
+                        tensor_bound_check, _mix, _split_terms)
 from entlab.linalg import DensityMatrix, LocalDims, kron, kron_all
 from entlab.measures import concurrence, measure_pure, wootters_concurrence
 from entlab.families import (amplitude_damping_kraus, bell_state,
@@ -30,39 +30,39 @@ def local_channel(ops):
                             tuple(SeparableKrausOperator((k,)) for k in ops))
 
 
-class TestNearestProduct:
-    def test_already_product(self):
-        factors, residual = nearest_product_operator(kron(X, X), (2, 2))
-        assert residual < 1e-14
-        assert np.max(np.abs(kron(*factors) - kron(X, X))) < 1e-12
+class TestSplitTerms:
+    def test_two_party_product_gives_zero(self):
+        assert np.max(np.abs(_split_terms(kron(X, X)[None], (2, 2)))) < 1e-14
+        g = RNG.child(0).generator()
+        a, b = (ginibre(2, 2, g) for _ in range(2))
+        assert np.max(np.abs(_split_terms(kron(a, b)[None], (2, 2)))) < 1e-14
+
+    def test_three_party_product_gives_zero(self):
+        g = RNG.child(0).generator()
+        a, b, c = (ginibre(2, 2, g) for _ in range(3))
+        terms = _split_terms(kron_all([a, b, c])[None], (2, 2, 2))
+        assert terms.shape == (1, 3)
+        assert np.max(np.abs(terms)) < 1e-14
 
     def test_balanced_two_term_operator(self):
         k = (kron(I2, I2) + kron(X, X)) / math.sqrt(2)
-        _, residual = nearest_product_operator(k, (2, 2))
-        assert abs(residual - 1 / math.sqrt(2)) < 1e-12
+        terms = _split_terms(k[None], (2, 2))
+        assert abs(math.sqrt(terms[0, 0]) - 1 / math.sqrt(2)) < 1e-12
 
-    def test_random_three_party_product(self):
-        g = RNG.child(0).generator()
-        a, b, c = (ginibre(2, 2, g) for _ in range(3))
-        k = kron_all([a, b, c])
-        factors, residual = nearest_product_operator(k, (2, 2, 2))
-        assert residual < 1e-10
-        assert np.max(np.abs(kron_all(factors) - k)) < 1e-8
-
-    def test_fit_is_frobenius_optimal_against_grid(self):
-        # brute-force check on a small real slice of the parameter space
+    def test_three_party_factor_splits_off_one_cut(self):
+        # A x (B x C + B' x C') is a product across party 0 only
         g = RNG.child(1).generator()
-        k = ginibre(4, 4, g)
-        factors, residual = nearest_product_operator(k, (2, 2))
-        fit = kron(*factors)
-        best = np.linalg.norm(k - fit)
-        for _ in range(200):
-            a = ginibre(2, 2, g)
-            b = ginibre(2, 2, g)
-            scale = np.vdot(kron(a, b), k) / np.vdot(kron(a, b), kron(a, b))
-            trial = np.linalg.norm(k - scale * kron(a, b))
-            assert trial >= best - 1e-9
-        assert abs(np.linalg.norm(k - fit) / np.linalg.norm(k) - residual) < 1e-12
+        a, b, c, b2, c2 = (ginibre(2, 2, g) for _ in range(5))
+        k = kron(a, kron(b, c) + kron(b2, c2))
+        terms = _split_terms(k[None], (2, 2, 2))[0]
+        assert abs(terms[0]) < 1e-14
+        assert terms[1] > 1e-3 and terms[2] > 1e-3
+
+    def test_zero_operator_carries_no_term(self):
+        k = (kron(I2, I2) + kron(X, X)) / math.sqrt(2)
+        terms = _split_terms(np.stack([np.zeros((4, 4), dtype=complex), k]), (2, 2))
+        assert terms[0, 0] == 0.0
+        assert abs(terms[1, 0] - 0.5) < 1e-12
 
 
 class TestErfMinimize:
@@ -141,7 +141,7 @@ class TestErfMinimize:
         ch = bit_flip_correlated(0.3)
         est = erf_minimize(ch, MixingSearchOptions(restarts=2, max_iterations=1))
         assert not est.search_feasible
-        assert abs(est.value - decay_factor(ch)) < 1e-12
+        assert est.value == decay_factor(ch)
 
 
 class TestErfBounds:

@@ -3,6 +3,7 @@
 import numpy as np
 import pytest
 
+from entlab.families import random_local_kraus
 from entlab.sampling import (RandomStream, ginibre, random_density,
                              random_haar_unitary, random_isometry,
                              random_pure_state, random_sl)
@@ -94,6 +95,8 @@ def test_random_isometry_has_orthonormal_columns():
     (random_isometry, 3, 3),
     (random_isometry, 6, 3),
     (random_isometry, 9, 2),
+    # a Kraus list stacks into the isometry it was cut from
+    (lambda rows, cols, s: np.vstack(random_local_kraus(cols, rows // cols, s)), 8, 2),
 ])
 def test_haar_draws_fix_the_qr_phases(draw, rows, cols):
     # Q^dag G is the R factor of the Ginibre draw G behind Q: upper triangular
