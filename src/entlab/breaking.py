@@ -63,7 +63,6 @@ class SchmidtNumberCertificate:
     """
 
     found: bool
-    target: int
     max_tail_coefficient: float
     ensemble: tuple[tuple[float, PureState], ...] = ()
 
@@ -117,7 +116,7 @@ def schmidt_number_upper(rho: DensityMatrix, target: int,
         # every state trivially satisfies SN <= min(dA, dB)
         lam, vecs = _eigenbasis(rho)
         ens = tuple((float(l), PureState(v, rho.dims)) for l, v in zip(lam, vecs.T))
-        return SchmidtNumberCertificate(True, target, 0.0, ens)
+        return SchmidtNumberCertificate(True, 0.0, ens)
 
     stage = (partial(_tail_objective, target=target, d_a=d_a, d_b=d_b),
              opts.max_iterations)
@@ -130,7 +129,7 @@ def schmidt_number_upper(rho: DensityMatrix, target: int,
         if coeffs.size > target:
             max_tail = max(max_tail, float(coeffs[target]))
     found = max_tail < TAIL_COEFF_TOL
-    return SchmidtNumberCertificate(found, target, max_tail,
+    return SchmidtNumberCertificate(found, max_tail,
                                     result.ensemble if found else ())
 
 
@@ -153,7 +152,6 @@ class ProbeVerdict:
 class PebReport:
     """Evidence that a local channel is r-partially entanglement breaking."""
 
-    target: int
     breaking: bool | None
     verdicts: tuple[ProbeVerdict, ...]
     agreement: bool
@@ -211,9 +209,8 @@ def r_peb_test(local_ops, target: int, probes: int = 20,
     divergent = tuple(v.probe_index for v in verdicts[1:]
                       if v.breaking is not None and reference is not None
                       and v.breaking != reference)
-    return PebReport(target=target, breaking=reference,
-                     verdicts=tuple(verdicts), agreement=not divergent,
-                     divergent_probes=divergent)
+    return PebReport(breaking=reference, verdicts=tuple(verdicts),
+                     agreement=not divergent, divergent_probes=divergent)
 
 
 @dataclass(frozen=True)

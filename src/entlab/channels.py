@@ -85,15 +85,15 @@ class SeparableChannel:
                     f"Kraus operator {m} has factor dimensions {op.dims}, "
                     f"channel dims are {dims.dims}"
                 )
-        joints = tuple(op.joint() for op in ops)
-        for j in joints:
-            j.setflags(write=False)
+        joints = np.stack([op.joint() for op in ops])
+        joints.setflags(write=False)
         object.__setattr__(self, "dims", dims)
         object.__setattr__(self, "ops", ops)
         object.__setattr__(self, "_joints", joints)
 
     @property
-    def joint_ops(self) -> tuple[np.ndarray, ...]:
+    def joint_ops(self) -> np.ndarray:
+        """The joint operators as one read-only (M, D, D) stack, built once."""
         return self._joints
 
     def __len__(self):
@@ -125,7 +125,7 @@ class OutcomeEnsemble:
 
     @property
     def total_probability(self) -> float:
-        return sum(o.probability for o in self.outcomes)
+        return _running_sum(o.probability for o in self.outcomes)
 
 
 @dataclass(frozen=True)
@@ -140,11 +140,18 @@ class EvolutionReport:
     exact: bool
 
 
+def _running_sum(values) -> float:
+    """Left-to-right sum; the builtin sum() compensates on Python >= 3.12."""
+    total = 0.0
+    for v in values:
+        total += v
+    return float(total)
+
+
 def _closure_residual(ops, d: int) -> float:
     """Frobenius norm of ``sum_k K_k^dag K_k - I`` on dimension d."""
-    acc = np.zeros((d, d), dtype=np.complex128)
-    for k in ops:
-        acc += k.conj().T @ k
+    ks = np.asarray(ops, dtype=np.complex128)
+    acc = np.sum(ks.conj().swapaxes(-1, -2) @ ks, axis=0, initial=0.0)
     return float(np.linalg.norm(acc - np.eye(d)))
 
 
@@ -160,11 +167,15 @@ def validate(channel: SeparableChannel) -> ChannelDiagnostics:
 
 
 def apply_kraus(ops, mat: np.ndarray) -> np.ndarray:
-    """sum_m K_m mat K_m^dag for a raw list of joint-space operators."""
-    out = np.zeros_like(np.asarray(mat, dtype=np.complex128))
-    for k in ops:
-        out += k @ mat @ k.conj().T
-    return out
+    """sum_m K_m mat K_m^dag for joint-space operators.
+
+    ``ops`` is a list of D x D operators or a (..., M, D, D) stack; the sum
+    runs over the operator axis M, so a stack with leading axes gives one
+    D x D sum per leading index, each equal to the call on that slice alone.
+    """
+    ks = np.asarray(ops, dtype=np.complex128)
+    # one operator after another onto +0.0, so even signed zeros match a += loop
+    return np.sum(ks @ mat @ ks.conj().swapaxes(-1, -2), axis=-3, initial=0.0)
 
 
 def apply(channel: SeparableChannel, rho: DensityMatrix) -> DensityMatrix:
@@ -181,9 +192,9 @@ def outcomes(channel: SeparableChannel, rho: DensityMatrix) -> OutcomeEnsemble:
     """The ensemble {(p_m, sigma_m)} with p_m sigma_m = K_m rho K_m^dag."""
     if rho.dims.dims != channel.dims.dims:
         raise ValueError("state dims do not match channel dims")
+    ks = channel.joint_ops
     outs = []
-    for k in channel.joint_ops:
-        branch = k @ rho.mat @ k.conj().T
+    for branch in ks @ rho.mat @ ks.conj().swapaxes(-1, -2):
         p = float(np.trace(branch).real)
         if p > NULL_OUTCOME_TOL:
             outs.append(Outcome(p, DensityMatrix(branch / p, rho.dims)))
@@ -194,7 +205,7 @@ def outcomes(channel: SeparableChannel, rho: DensityMatrix) -> OutcomeEnsemble:
 
 def decay_factor(channel: SeparableChannel) -> float:
     """sum_m prod_i |det K_m^(i)|**(2/d_i) for this representation."""
-    return float(sum(op.det_weight() for op in channel.ops))
+    return _running_sum(op.det_weight() for op in channel.ops)
 
 
 def _mixed_entanglement(measure: Measure, rho: DensityMatrix):
@@ -205,11 +216,16 @@ def _mixed_entanglement(measure: Measure, rho: DensityMatrix):
     return convex_roof(measure, rho).value, False
 
 
-def _branch_entanglement(channel: SeparableChannel, rho, measure: Measure):
-    """``(E(rho), [p_m E(sigma_m)], their sum, whether every value is exact)``.
+def verify_evolution(channel: SeparableChannel, rho,
+                     measure: Measure) -> EvolutionReport:
+    """Check p_m E(sigma_m) = prod_i |det K_m^(i)|**(2/d_i) * E(rho) per outcome.
 
-    Branches with p_m <= 1e-12 contribute zero.  Raises if E(rho) <= 1e-8:
-    the evolution identity and the resilience witnesses both divide by it.
+    ``rho`` may be a PureState (exact for every compatible measure) or a
+    DensityMatrix (exact only with the measure's exact mixed-state oracle;
+    any other mixed evaluation is a roof upper estimate and the report is
+    flagged ``exact=False``).  Branches with p_m <= 1e-12 contribute zero.
+    Raises if the input entanglement is <= 1e-8, since the identity presumes
+    a nonzero denominator.
     """
     measure.check_dims(channel.dims)
     pure = isinstance(rho, PureState)
@@ -240,30 +256,13 @@ def _branch_entanglement(channel: SeparableChannel, rho, measure: Measure):
             value, branch_exact = _mixed_entanglement(measure, outcome.state)
             exact = exact and branch_exact
             values.append(outcome.probability * value)
-    total = 0.0  # a plain running sum: sum() compensates on Python >= 3.12
-    for lhs in values:
-        total += lhs
-    return e_in, values, total, exact
-
-
-def verify_evolution(channel: SeparableChannel, rho,
-                     measure: Measure) -> EvolutionReport:
-    """Check p_m E(sigma_m) = prod_i |det K_m^(i)|**(2/d_i) * E(rho) per outcome.
-
-    ``rho`` may be a PureState (exact for every compatible measure) or a
-    DensityMatrix (exact only with the measure's exact mixed-state oracle;
-    any other mixed evaluation is a roof upper estimate and the report is
-    flagged ``exact=False``).  Raises if the input entanglement vanishes,
-    since the identity presumes a nonzero denominator.
-    """
-    e_in, values, total, exact = _branch_entanglement(channel, rho, measure)
-    residuals = [abs(lhs - op.det_weight() * e_in)
-                 for op, lhs in zip(channel.ops, values)]
-
-    decay = decay_factor(channel)
+    total = _running_sum(values)
+    weights = [op.det_weight() for op in channel.ops]
+    decay = _running_sum(weights)
     return EvolutionReport(
         decay=decay,
-        per_outcome_residuals=tuple(residuals),
+        per_outcome_residuals=tuple(abs(lhs - w * e_in)
+                                    for w, lhs in zip(weights, values)),
         aggregate_residual=abs(total - decay * e_in),
         input_entanglement=e_in,
         average_output_entanglement=total,

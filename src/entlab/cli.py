@@ -372,20 +372,23 @@ def build_parser() -> argparse.ArgumentParser:
     seeded.add_argument("--seed", type=int, default=0)
     sized = argparse.ArgumentParser(add_help=False)
     sized.add_argument("--dims", default="2,2", help="local dims, e.g. 2,2")
+    evolution = argparse.ArgumentParser(add_help=False)
+    evolution.add_argument("--channel", help="channel JSON file")
+    evolution.add_argument("--family", help="named channel family")
+    evolution.add_argument("--param", type=float, default=0.3,
+                         help="feeds --family and --state-family alike: werner "
+                              "at the default 0.3 is separable, so the run exits 2")
+    evolution.add_argument("--state", help="state JSON file")
+    evolution.add_argument("--state-family", help="named state family")
+    evolution.add_argument("--measure", default="concurrence")
 
-    p = sub.add_parser("verify", parents=[output, seeded, sized],
+    p = sub.add_parser("verify", parents=[output, seeded, sized, evolution],
                        help="check the decay identity outcome by outcome")
-    p.add_argument("--channel", help="channel JSON file")
-    p.add_argument("--family", help="named channel family")
-    p.add_argument("--param", type=float, default=0.3)
     p.add_argument("--random-channel", action="store_true")
     p.add_argument("--kraus", type=int, default=4)
-    p.add_argument("--state", help="state JSON file")
-    p.add_argument("--state-family", help="named state family")
     p.add_argument("--mixed", action="store_true",
                    help="draw mixed inputs (needs a measure with an exact "
                         "mixed-state value, e.g. concurrence)")
-    p.add_argument("--measure", default="concurrence")
     p.add_argument("--trials", type=int, default=1)
     p.add_argument("--tol", type=float, default=None)
 
@@ -395,14 +398,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--family")
     p.add_argument("--param", type=float, default=0.3)
 
-    p = sub.add_parser("erf", parents=[output, seeded, sized],
+    p = sub.add_parser("erf", parents=[output, seeded, sized, evolution],
                        help="search separable representations")
-    p.add_argument("--channel")
-    p.add_argument("--family")
-    p.add_argument("--param", type=float, default=0.3)
-    p.add_argument("--state")
-    p.add_argument("--state-family")
-    p.add_argument("--measure", default="concurrence")
     p.add_argument("--restarts", type=int, default=6)
     p.add_argument("--max-iterations", type=int, default=120)
     p.add_argument("--extra", type=int, default=0)

@@ -18,9 +18,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .channels import (SeparableChannel, _branch_entanglement,
-                       _mixed_entanglement, apply, apply_kraus, decay_factor,
-                       tensor_channels)
+from .channels import (SeparableChannel, _mixed_entanglement, apply,
+                       apply_kraus, decay_factor, tensor_channels,
+                       verify_evolution)
 from .linalg import PureState, as_complex_matrix
 from .measures import Measure, adjugate
 from .sampling import RandomStream, random_density, random_isometry
@@ -74,13 +74,6 @@ def _cuts(n: int) -> list[int]:
     return [0] if n == 2 else list(range(n)) if n > 2 else []
 
 
-def _libm_square(x: np.ndarray) -> np.ndarray:
-    """Squares as the C library's pow rounds them, which is how a numpy
-    scalar's ``** 2`` rounds; numpy's array square differs in the last bit on
-    about 0.1% of inputs, and the search amplifies such differences."""
-    return np.array([math.pow(v, 2.0) for v in x.tolist()])
-
-
 def _split_terms(kt: np.ndarray, dims) -> np.ndarray:
     """Separability terms 1 - s1^2/||K||^2 of a stack of operators, one
     column per cut of :func:`_cuts`, where s1 is the leading singular value
@@ -97,7 +90,8 @@ def _split_terms(kt: np.ndarray, dims) -> np.ndarray:
     terms = np.zeros((kt.shape[0], len(cuts)))
     for col, t in enumerate(cuts):
         ss = np.linalg.svd(_realign(kt[ok], dims, t), compute_uv=False)
-        terms[ok, col] = 1.0 - _libm_square(ss[:, 0]) / norms2[ok]
+        # libm's pow, as a numpy scalar's ** 2; x * x differs in the last bit
+        terms[ok, col] = 1.0 - np.float_power(ss[:, 0], 2.0) / norms2[ok]
     return terms
 
 
@@ -178,11 +172,12 @@ def _search_objective(ks: np.ndarray, dims, weight: float):
             r = _realign(kt[ok], dims_t, t)
             uu, ss, vvh = np.linalg.svd(r, full_matrices=False)
             s1 = ss[:, 0]
-            s1_sq = _libm_square(s1)
+            s1_sq = np.float_power(s1, 2.0)  # as _split_terms, so both paths agree
             terms[ok, col] = 1.0 - s1_sq / norms2_ok
             # d(s1^2)/dR~ = s1 u1 v1^dag; vvh rows already carry the dagger
             lead = uu[:, :, 0, None] * vvh[:, None, 0, :]
-            g_r = (s1_sq / _libm_square(norms2_ok))[:, None, None] * r \
+            # libm's pow: the search amplifies last-bit changes in the squares
+            g_r = (s1_sq / np.float_power(norms2_ok, 2.0))[:, None, None] * r \
                 - (s1 / norms2_ok)[:, None, None] * lead
             grads[ok] += weight * _unrealign(g_r, dims_t, t)
         return terms, grads
@@ -224,7 +219,7 @@ def erf_minimize(channel: SeparableChannel,
     A searched endpoint is feasible when every mixed operator's summed
     separability terms lie below ``SEPARABILITY_THRESHOLD**2``.
     """
-    ks = np.stack(channel.joint_ops)
+    ks = channel.joint_ops
     m = ks.shape[0]
     j = m + opts.extra_operators
     dims = channel.dims
@@ -232,11 +227,10 @@ def erf_minimize(channel: SeparableChannel,
 
     stream = RandomStream(opts.seed)
     probe = random_density(dims, dims.total, stream.child(0xFEED)).mat
-    reference = apply_kraus(channel.joint_ops, probe)
+    reference = apply_kraus(ks, probe)
 
     def assert_channel_preserved(us):
-        kt = _mix(ks, us)
-        out = np.sum(kt @ probe @ kt.conj().swapaxes(-1, -2), axis=1)
+        out = apply_kraus(_mix(ks, us), probe)
         if np.any(np.linalg.norm(out - reference, axis=(1, 2)) > 1e-8):
             raise RuntimeError("Kraus mixing stopped preserving the channel")
 
@@ -288,17 +282,20 @@ class ErfBounds:
 
 
 def erf_bounds(channel: SeparableChannel, rho, measure: Measure) -> ErfBounds:
-    """Lower/upper witnesses E(L(rho))/E(rho) and sum_m p_m E(sigma_m)/E(rho).
+    """Lower/upper witnesses E(L(rho))/E(rho) and sum_m p_m E(sigma_m)/E(rho),
+    the upper one read from :func:`verify_evolution`'s report.
 
     Exact when every mixed evaluation uses the measure's exact mixed-state
     oracle; otherwise the lower witness rests on a roof upper estimate and
     the pair is flagged heuristic (``exact=False``).
     """
-    e_in, _, total, exact = _branch_entanglement(channel, rho, measure)
+    report = verify_evolution(channel, rho, measure)
+    e_in = report.input_entanglement
     rho_mat = rho.density() if isinstance(rho, PureState) else rho
     e_out, out_exact = _mixed_entanglement(measure, apply(channel, rho_mat))
-    return ErfBounds(lower=e_out / e_in, upper=total / e_in,
-                     exact=exact and out_exact)
+    return ErfBounds(lower=e_out / e_in,
+                     upper=report.average_output_entanglement / e_in,
+                     exact=report.exact and out_exact)
 
 
 @dataclass(frozen=True)

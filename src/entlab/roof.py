@@ -72,21 +72,15 @@ def _ensemble_objective(measure: Measure, basis: np.ndarray, mu: float = 0.0):
         n, m = v.shape[:2]
         states = (v @ basis).reshape(n * m, -1)
         f = measure.eval_poly_batch(states)
-        absf2 = (f * f.conj()).real
-        if mu > 0.0:
-            terms = (absf2 + mu * mu) ** (1.0 / k) - mu ** (2.0 / k)
-        else:
-            terms = absf2 ** (1.0 / k)
+        base = (f * f.conj()).real + mu * mu
+        terms = base ** (1.0 / k) - mu ** (2.0 / k)
         value = c * terms.reshape(n, m).sum(axis=1)
         if not need_grad:
             return value, None
         grads = measure.eval_grad_batch(states)
-        if mu > 0.0:
-            coeff = (c / k) * (absf2 + mu * mu) ** (1.0 / k - 1.0) * f
-        else:
-            live = absf2 > POLY_ZERO
-            coeff = np.zeros_like(f)
-            coeff[live] = (c / k) * absf2[live] ** (1.0 / k - 1.0) * f[live]
+        live = base > POLY_ZERO
+        coeff = np.zeros_like(f)
+        coeff[live] = (c / k) * base[live] ** (1.0 / k - 1.0) * f[live]
         w = coeff[:, None] * grads.conj()
         return value, w.reshape(n, m, -1) @ basis_h
 

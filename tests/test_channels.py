@@ -66,6 +66,33 @@ class TestApply:
             rho = random_density((2, 2), 4, g)
             assert abs(apply(ch, rho).trace - 1.0) < 1e-10
 
+    def test_joint_ops_is_one_read_only_stack(self):
+        ch = random_separable_channel((2, 3), 3, RNG.child(4).generator())
+        ks = ch.joint_ops
+        assert ks.shape == (3, 6, 6) and not ks.flags.writeable
+        for k, op in zip(ks, ch.ops):
+            assert np.array_equal(k, op.joint())
+
+    def test_stacked_apply_kraus_equals_one_loop_per_slice(self):
+        g = RNG.child(5).generator()
+        stack = np.stack([np.stack(random_local_kraus(4, 3, g)) for _ in range(5)])
+        rho = random_density((2, 2), 3, g).mat
+        out = apply_kraus(stack, rho)
+        assert out.shape == (5, 4, 4)
+        for r in range(5):
+            loop = np.zeros((4, 4), dtype=complex)
+            for k in stack[r]:
+                loop += k @ rho @ k.conj().T
+            assert out[r].tobytes() == loop.tobytes()
+            assert apply_kraus(list(stack[r]), rho).tobytes() == loop.tobytes()
+
+    def test_closure_residual_equals_the_operator_loop(self):
+        ch = random_separable_channel((2, 3), 4, RNG.child(6).generator())
+        acc = np.zeros((6, 6), dtype=complex)
+        for k in ch.joint_ops:
+            acc += k.conj().T @ k
+        assert validate(ch).closure_residual == float(np.linalg.norm(acc - np.eye(6)))
+
     def test_dims_mismatch_rejected(self):
         rho = random_density((2, 3), 2, RNG.child(2))
         with pytest.raises(ValueError, match="dims"):
@@ -123,6 +150,18 @@ class TestDecayFactor:
             g = RNG.child(5, i).generator()
             ch = random_separable_channel((2, 2), int(g.integers(2, 7)), g)
             assert decay_factor(ch) <= 1.0 + 1e-10
+
+    def test_weights_are_added_left_to_right(self):
+        # weights 0.1, 0.2, 0.3: left to right gives 0.6000000000000001,
+        # a compensated or exact sum gives 0.6
+        ops = tuple(SeparableKrausOperator((np.diag([w, 1.0]), np.eye(2)))
+                    for w in (0.1, 0.2, 0.3))
+        weights = [op.det_weight() for op in ops]
+        running = 0.0
+        for w in weights:
+            running += w
+        assert running != math.fsum(weights)
+        assert decay_factor(SeparableChannel((2, 2), ops)) == running
 
 
 class TestRandomSeparableChannel:

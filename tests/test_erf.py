@@ -7,9 +7,10 @@ import numpy as np
 import pytest
 
 from entlab.channels import (SeparableChannel, SeparableKrausOperator, apply,
-                             apply_kraus, decay_factor, embed_one_sided)
+                             apply_kraus, decay_factor, embed_one_sided,
+                             verify_evolution)
 from entlab.erf import (MixingSearchOptions, erf_bounds, erf_minimize,
-                        tensor_bound_check, _mix, _split_terms)
+                        tensor_bound_check, _mix, _realign, _split_terms)
 from entlab.linalg import DensityMatrix, LocalDims, kron, kron_all
 from entlab.measures import concurrence, measure_pure, wootters_concurrence
 from entlab.families import (amplitude_damping_kraus, bell_state,
@@ -57,6 +58,16 @@ class TestSplitTerms:
         terms = _split_terms(k[None], (2, 2, 2))[0]
         assert abs(terms[0]) < 1e-14
         assert terms[1] > 1e-3 and terms[2] > 1e-3
+
+    def test_squares_round_as_libm_pow(self):
+        # the search amplifies last-bit changes; x * x rounds differently
+        g = RNG.child(2).generator()
+        ks = np.stack([ginibre(4, 4, g) for _ in range(4000)])
+        s1 = np.linalg.svd(_realign(ks, (2, 2), 0), compute_uv=False)[:, 0]
+        norms2 = np.einsum("jab,jab->j", ks, ks.conj()).real
+        assert np.any(s1 * s1 != np.float_power(s1, 2.0))
+        libm = [1.0 - math.pow(s, 2.0) / n for s, n in zip(s1.tolist(), norms2.tolist())]
+        assert _split_terms(ks, (2, 2))[:, 0].tolist() == libm
 
     def test_zero_operator_carries_no_term(self):
         k = (kron(I2, I2) + kron(X, X)) / math.sqrt(2)
@@ -189,6 +200,20 @@ class TestErfBounds:
             assert b.exact
             assert b.lower <= est.value + 1e-6
             assert est.value <= b.upper + 1e-6
+
+    def test_upper_witness_is_the_verified_average_ratio(self):
+        g = RNG.child(8).generator()
+        from entlab.families import random_separable_channel
+        ch = random_separable_channel((2, 2), 3, g)
+        pure = bell_state()
+        mixed = random_density((2, 2), 2, g)
+        assert wootters_concurrence(mixed) > 1e-3
+        for rho in (pure, mixed):
+            report = verify_evolution(ch, rho, concurrence())
+            b = erf_bounds(ch, rho, concurrence())
+            ratio = report.average_output_entanglement / report.input_entanglement
+            assert b.upper == ratio
+            assert b.exact == report.exact
 
     def test_zero_entanglement_input_rejected(self):
         sep = DensityMatrix(np.eye(4) / 4, LocalDims((2, 2)))

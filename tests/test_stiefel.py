@@ -9,7 +9,7 @@ from entlab.linalg import DensityMatrix
 from entlab.measures import concurrence, sqrt_three_tangle
 from entlab.roof import _eigenbasis, _ensemble_objective
 from entlab.sampling import RandomStream, random_density, random_isometry
-from entlab.stiefel import minimize_on_stiefel
+from entlab.stiefel import _vdots, minimize_on_stiefel
 
 RNG = RandomStream(16180)
 
@@ -94,6 +94,15 @@ def test_stop_below_cuts_the_restarts_after_the_first_below_it():
         assert cut.stop_reasons[i] == "cut"
         assert cut.restart_iterations[i] == step
         assert cut.histories[i] == free.histories[i][:step + 1]
+
+
+@pytest.mark.parametrize("shape", [(1, 4, 2), (5, 9, 3), (8, 6, 6)])
+def test_vdots_equal_one_vdot_per_member(shape):
+    g = RNG.child(3).generator()
+    a, b = (g.standard_normal(shape) + 1j * g.standard_normal(shape) for _ in range(2))
+    for x, y in ((a, b), (a, a)):
+        loop = np.array([np.vdot(u, v).real for u, v in zip(x, y)])
+        assert _vdots(x, y).tobytes() == loop.tobytes()
 
 
 def test_a_single_isometry_is_refused():
