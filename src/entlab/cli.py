@@ -247,6 +247,7 @@ def cmd_erf(args):
         "value": float(estimate.value),
         "separability_residual": float(estimate.separability_residual),
         "search_feasible": bool(estimate.search_feasible),
+        "exact": bool(estimate.exact),
         "decay_given_representation": float(decay_factor(channel)),
         "pass": ok,
     }

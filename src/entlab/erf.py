@@ -1,18 +1,24 @@
 """Entanglement resilience factor: minimum determinant weight over separable
 Kraus representations of a channel.
 
-Alternative representations are parametrized by isometries U mixing the given
-Kraus list, ``K~_j = sum_m U_jm K_m``; separability of every mixed operator is
-enforced softly through a graduated penalty on the realignment terms of
-:func:`_split_terms`, and the same terms decide feasibility at the end.  The
-reported value minimizes over a searched subset of representations whose
-operators are products only up to the 1e-6 separability threshold, so it can
-sit slightly below the true minimum; infeasible searches are reported, never
-silently rounded.
+Every Kraus representation mixes the given list by an isometry U,
+``K~_j = sum_m U_jm K_m``.  When, for some party t, the factors K_m^(t) are
+linearly independent and so are the products of the other parties' factors,
+the only product operators in span{K_m} are multiples of single K_m, so every
+separable representation has the given decay factor and that value is exact
+(:func:`_products_are_rescaled_kraus`).  Otherwise the isometries are
+searched: separability of every mixed operator is enforced softly through a
+graduated penalty on the realignment terms of :func:`_split_terms`, and the
+same terms decide feasibility at the end.  A searched value is an upper
+estimate: it minimizes over a searched subset of representations, and since
+their operators are products only up to the 1e-6 separability threshold it
+can also sit slightly below the true minimum; infeasible searches are
+reported, never silently rounded.
 """
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 
@@ -32,6 +38,9 @@ NORM_ZERO = 1e-14
 PENALTY_WEIGHTS = (10.0, 100.0, 1000.0, 10000.0)
 SEPARABILITY_THRESHOLD = 1e-6
 TENSOR_BOUND_TOL = 1e-6
+# smallest singular value of a row-normalised factor stack that counts as full
+# row rank; a stack nearer to deficient than this keeps the search
+RANK_THRESHOLD = 1e-6
 
 
 # ---------------------------------------------------------------------------
@@ -118,11 +127,15 @@ class MixingSearchOptions:
 
 @dataclass(frozen=True)
 class ErfEstimate:
-    """Outcome of the representation search.
+    """Outcome of the resilience-factor computation.
 
-    ``value`` is the best feasible determinant sum found, never above
-    :func:`decay_factor`; a searched value can sit below the true resilience
-    factor by the slack of the 1e-6 separability threshold.
+    ``exact`` is True when the rank test of
+    :func:`_products_are_rescaled_kraus` passed: no separable representation
+    differs from the given one up to rescaling, so ``value`` is
+    :func:`decay_factor` exactly, the mixing is the identity and nothing was
+    searched.  Otherwise ``value`` is the best feasible determinant sum found,
+    never above :func:`decay_factor`; such a searched value can sit below the
+    true resilience factor by the slack of the 1e-6 separability threshold.
     ``separability_residual`` is the square root of the chosen
     representation's largest summed separability term (0 for the given one).
     ``search_feasible`` records whether any searched alternative met the
@@ -134,6 +147,7 @@ class ErfEstimate:
     mixing_isometry: np.ndarray
     search_feasible: bool
     feasible_values: tuple[float, ...]
+    exact: bool
 
 
 def _mix(ks: np.ndarray, u: np.ndarray) -> np.ndarray:
@@ -204,9 +218,65 @@ def _search_objective(ks: np.ndarray, dims, weight: float):
     return fun
 
 
+def _full_row_rank(rows: np.ndarray) -> bool:
+    """Whether the rows, each scaled to unit norm, have smallest singular
+    value above ``RANK_THRESHOLD``; a zero row or more rows than columns
+    fails."""
+    norms = np.linalg.norm(rows, axis=1)
+    if rows.shape[0] > rows.shape[1] or np.any(norms < NORM_ZERO):
+        return False
+    return bool(np.linalg.svd(rows / norms[:, None], compute_uv=False)[-1] > RANK_THRESHOLD)
+
+
+def _products_are_rescaled_kraus(channel: SeparableChannel) -> bool:
+    """Rank test: the only product operators in span{K_m} are multiples of
+    single K_m.
+
+    Realigned around party t, K_m is the rank-one a_m b_m^T with a_m the
+    vectorised factor K_m^(t) and b_m the vectorised product of the other
+    factors.  When the a_m are linearly independent and so are the b_m,
+    sum_m c_m a_m b_m^T has rank equal to the number of nonzero c_m, so it is
+    a product across that cut only when one c_m is nonzero (Kruskal, Linear
+    Algebra Appl. 18, 95 (1977)).  The test passes when some party t
+    qualifies.
+    """
+    factors = [[f.reshape(-1) for f in op.factors] for op in channel.ops]
+    for t in range(len(channel.dims)):
+        own = np.stack([fs[t] for fs in factors])
+        rest = np.stack([functools.reduce(np.kron, fs[:t] + fs[t + 1:], np.ones(1))
+                         for fs in factors])
+        if _full_row_rank(own) and _full_row_rank(rest):
+            return True
+    return False
+
+
 def erf_minimize(channel: SeparableChannel,
                  opts: MixingSearchOptions = MixingSearchOptions(),
                  initial_mixings=()) -> ErfEstimate:
+    """Smallest decay factor over the separable Kraus representations.
+
+    When the rank test of :func:`_products_are_rescaled_kraus` passes, every
+    separable representation rescales the given operators, whose squared
+    weights sum to one per operator, so the result is :func:`decay_factor`
+    exactly (``exact=True``) and no search runs.  Otherwise
+    :func:`_search_mixings` searches, with ``exact=False``.
+    """
+    if not _products_are_rescaled_kraus(channel):
+        return _search_mixings(channel, opts, initial_mixings)
+    m = len(channel)
+    value = decay_factor(channel)
+    return ErfEstimate(
+        value=value,
+        separability_residual=0.0,
+        mixing_isometry=np.eye(m + opts.extra_operators, m, dtype=np.complex128),
+        search_feasible=False,
+        feasible_values=(value,),
+        exact=True,
+    )
+
+
+def _search_mixings(channel: SeparableChannel, opts: MixingSearchOptions,
+                    initial_mixings=()) -> ErfEstimate:
     """Search separable Kraus representations for the smallest decay factor.
 
     The given representation is always a candidate, so the result never
@@ -266,6 +336,7 @@ def erf_minimize(channel: SeparableChannel,
         mixing_isometry=isometries[best],
         search_feasible=values.size > 1,
         feasible_values=tuple(sorted(values.tolist())),
+        exact=False,
     )
 
 

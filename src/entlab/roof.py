@@ -78,9 +78,8 @@ def _ensemble_objective(measure: Measure, basis: np.ndarray, mu: float = 0.0):
         if not need_grad:
             return value, None
         grads = measure.eval_grad_batch(states)
-        live = base > POLY_ZERO
-        coeff = np.zeros_like(f)
-        coeff[live] = (c / k) * base[live] ** (1.0 / k - 1.0) * f[live]
+        pw = np.power(base, 1.0 / k - 1.0, out=np.zeros_like(base), where=base > POLY_ZERO)
+        coeff = (c / k) * pw * f
         w = coeff[:, None] * grads.conj()
         return value, w.reshape(n, m, -1) @ basis_h
 

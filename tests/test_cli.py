@@ -170,6 +170,14 @@ class TestOtherCommands:
         assert abs(s["lower_bound"] - 1.0) < 1e-9
         assert s["bounds_ordered"] is True
 
+    @pytest.mark.parametrize("family, exact", [("bit-flip-correlated", True),
+                                               ("amplitude-damping", False)])
+    def test_erf_reports_whether_the_value_is_exact(self, family, exact, tmp_path):
+        out = tmp_path / "e.json"
+        assert run(["erf", "--family", family, "--restarts", "2",
+                    "--out", str(out)]) == 0
+        assert read_report(out)["summary"]["exact"] is exact
+
     def test_roof_of_werner(self, tmp_path):
         out = tmp_path / "w.json"
         code = run(["roof", "--state-family", "werner", "--p", "0.9",

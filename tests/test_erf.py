@@ -8,14 +8,16 @@ import pytest
 
 from entlab.channels import (SeparableChannel, SeparableKrausOperator, apply,
                              apply_kraus, decay_factor, embed_one_sided,
-                             verify_evolution)
+                             tensor_channels, verify_evolution)
 from entlab.erf import (MixingSearchOptions, erf_bounds, erf_minimize,
-                        tensor_bound_check, _mix, _realign, _split_terms)
+                        tensor_bound_check, _mix, _products_are_rescaled_kraus,
+                        _realign, _search_mixings, _split_terms)
 from entlab.linalg import DensityMatrix, LocalDims, kron, kron_all
 from entlab.measures import concurrence, measure_pure, wootters_concurrence
 from entlab.families import (amplitude_damping_kraus, bell_state,
                              bit_flip_correlated, max_entangled_state,
-                             phase_damping_kraus, random_local_kraus)
+                             phase_damping_kraus, random_local_kraus,
+                             random_separable_channel)
 from entlab.sampling import RandomStream, ginibre, random_density, random_pure_state
 
 RNG = RandomStream(1618)
@@ -153,6 +155,73 @@ class TestErfMinimize:
         est = erf_minimize(ch, MixingSearchOptions(restarts=2, max_iterations=1))
         assert not est.search_feasible
         assert est.value == decay_factor(ch)
+
+    def test_failed_search_on_rank_failing_channel_falls_back(self):
+        # a tensor pair fails the rank test, so the search runs; every mixing
+        # of a one-sided list is a product, so that would test nothing here
+        ch = tensor_pair(1)
+        est = erf_minimize(ch, MixingSearchOptions(restarts=2, max_iterations=1))
+        assert not est.search_feasible
+        assert not est.exact
+        assert est.value == decay_factor(ch)
+
+
+def exact_path_channels():
+    chans = [bit_flip_correlated(0.3)]
+    for i, dims in enumerate(((2, 2), (2, 2), (2, 2), (2, 2, 2), (2, 2, 2), (3, 3))):
+        g = RNG.child(10, i).generator()
+        chans.append(random_separable_channel(dims, int(g.integers(2, 5)), g))
+    return chans
+
+
+def tensor_pair(i):
+    g = RNG.child(11, i).generator()
+    return tensor_channels([local_channel(random_local_kraus(2, 2, g)) for _ in range(2)])
+
+
+class TestExactPath:
+    @pytest.mark.parametrize("extra", [0, 1])
+    def test_exact_value_is_the_given_decay(self, extra):
+        for ch in exact_path_channels():
+            est = erf_minimize(ch, MixingSearchOptions(extra_operators=extra))
+            m = len(ch)
+            assert est.exact
+            assert est.value == decay_factor(ch)
+            assert np.array_equal(est.mixing_isometry, np.eye(m + extra, m))
+            assert est.feasible_values == (est.value,)
+            assert est.separability_residual == 0.0
+            assert not est.search_feasible
+
+    @pytest.mark.parametrize("ch", [
+        embed_one_sided(amplitude_damping_kraus(0.36), 0, (2, 2)),
+        local_channel(random_local_kraus(2, 2, RNG.child(12))),
+        local_channel(random_local_kraus(2, 3, RNG.child(13))),
+        tensor_pair(1),
+    ], ids=["one-sided", "single-party-2", "single-party-3", "tensor-pair"])
+    def test_rank_failing_channels_search(self, ch):
+        assert not _products_are_rescaled_kraus(ch)
+        assert not erf_minimize(ch, QUICK).exact
+
+    def test_zero_operator_fails_the_rank_test(self):
+        zero = SeparableKrausOperator((np.zeros((2, 2)), I2))
+        ch = bit_flip_correlated(0.3)
+        assert not _products_are_rescaled_kraus(SeparableChannel(ch.dims, ch.ops + (zero,)))
+
+    def test_shared_factor_tensor_pair_still_gains(self):
+        ch = tensor_pair(0)
+        est = erf_minimize(ch, QUICK)
+        assert not est.exact
+        assert est.value < decay_factor(ch) - 1e-3
+
+    def test_search_finds_nothing_below_the_exact_value(self):
+        # the search, run where the rank test says every separable
+        # representation rescales the given one, finds nothing better beyond
+        # the separability slack
+        for ch in exact_path_channels()[1:6]:
+            assert _products_are_rescaled_kraus(ch)
+            est = _search_mixings(ch, QUICK)
+            assert not est.exact
+            assert est.value >= decay_factor(ch) - 1e-7
 
 
 class TestErfBounds:
