@@ -83,7 +83,7 @@ def _cuts(n: int) -> list[int]:
     return [0] if n == 2 else list(range(n)) if n > 2 else []
 
 
-def _split_terms(kt: np.ndarray, dims) -> np.ndarray:
+def _split_terms(kt: np.ndarray, dims, grads=None, weight=1.0) -> np.ndarray:
     """Separability terms 1 - s1^2/||K||^2 of a stack of operators, one
     column per cut of :func:`_cuts`, where s1 is the leading singular value
     of K realigned around party t.
@@ -92,15 +92,33 @@ def _split_terms(kt: np.ndarray, dims) -> np.ndarray:
     its square root is the relative distance ||K - A x B|| / ||K|| to the
     nearest product (Eckart-Young).  Operators of (numerically) zero norm
     carry no terms.
+
+    Given ``grads``, shaped as ``kt``, the full SVD also gives each term's
+    gradient, and ``weight`` times it is added into ``grads`` cut by cut:
+    accumulated, not returned, since weight*(a+b+c) and weight*a + weight*b
+    + weight*c round differently and the search's gradient is the latter.
     """
     norms2 = np.einsum("jab,jab->j", kt, kt.conj()).real
     ok = norms2 >= NORM_ZERO ** 2
+    norms2_ok = norms2[ok]
     cuts = _cuts(len(dims))
     terms = np.zeros((kt.shape[0], len(cuts)))
     for col, t in enumerate(cuts):
-        ss = np.linalg.svd(_realign(kt[ok], dims, t), compute_uv=False)
+        r = _realign(kt[ok], dims, t)
+        if grads is None:
+            ss = np.linalg.svd(r, compute_uv=False)
+        else:
+            uu, ss, vvh = np.linalg.svd(r, full_matrices=False)
+        s1 = ss[:, 0]
         # libm's pow, as a numpy scalar's ** 2; x * x differs in the last bit
-        terms[ok, col] = 1.0 - np.float_power(ss[:, 0], 2.0) / norms2[ok]
+        s1_sq = np.float_power(s1, 2.0)
+        terms[ok, col] = 1.0 - s1_sq / norms2_ok
+        if grads is not None:
+            # d(s1^2)/dR~ = s1 u1 v1^dag; vvh rows already carry the dagger
+            lead = uu[:, :, 0, None] * vvh[:, None, 0, :]
+            g_r = (s1_sq / np.float_power(norms2_ok, 2.0))[:, None, None] * r \
+                - (s1 / norms2_ok)[:, None, None] * lead
+            grads[ok] += weight * _unrealign(g_r, dims, t)
     return terms
 
 
@@ -123,6 +141,8 @@ class MixingSearchOptions:
     def __post_init__(self):
         if self.extra_operators < 0:
             raise ValueError("extra_operators must be >= 0")
+        if self.restarts < 0:
+            raise ValueError(f"restarts must be >= 0, got {self.restarts}")
 
 
 @dataclass(frozen=True)
@@ -165,36 +185,7 @@ def _search_objective(ks: np.ndarray, dims, weight: float):
     """
     dims_t = tuple(dims)
     d = math.prod(dims_t)
-    cuts = _cuts(len(dims_t))
     expo = 2.0 / d
-
-    def terms_and_grad(kt, dets, absdet):
-        """The terms of :func:`_split_terms` from the full SVD, whose singular
-        vectors the gradient needs, and the gradient of the whole objective
-        with respect to each operator."""
-        grads = np.zeros_like(kt)
-        live = absdet > DET_ZERO
-        if np.any(live):
-            adj = adjugate(kt[live])
-            coeff = (expo / 2.0) * absdet[live] ** (expo - 2.0) * dets[live]
-            grads[live] += coeff[:, None, None] * np.conj(np.transpose(adj, (0, 2, 1)))
-        norms2 = np.einsum("jab,jab->j", kt, kt.conj()).real
-        ok = norms2 >= NORM_ZERO ** 2
-        norms2_ok = norms2[ok]
-        terms = np.zeros((kt.shape[0], len(cuts)))
-        for col, t in enumerate(cuts):
-            r = _realign(kt[ok], dims_t, t)
-            uu, ss, vvh = np.linalg.svd(r, full_matrices=False)
-            s1 = ss[:, 0]
-            s1_sq = np.float_power(s1, 2.0)  # as _split_terms, so both paths agree
-            terms[ok, col] = 1.0 - s1_sq / norms2_ok
-            # d(s1^2)/dR~ = s1 u1 v1^dag; vvh rows already carry the dagger
-            lead = uu[:, :, 0, None] * vvh[:, None, 0, :]
-            # libm's pow: the search amplifies last-bit changes in the squares
-            g_r = (s1_sq / np.float_power(norms2_ok, 2.0))[:, None, None] * r \
-                - (s1 / norms2_ok)[:, None, None] * lead
-            grads[ok] += weight * _unrealign(g_r, dims_t, t)
-        return terms, grads
 
     def fun(u, need_grad):
         restarts, j = u.shape[:2]
@@ -202,13 +193,17 @@ def _search_objective(ks: np.ndarray, dims, weight: float):
         dets = np.linalg.det(kt)
         absdet = np.abs(dets)
         value = np.sum((absdet ** expo).reshape(restarts, j), axis=1)
+        grads = None
         if need_grad:
-            terms, grads = terms_and_grad(kt, dets, absdet)
-        else:
-            terms = _split_terms(kt, dims_t)
+            grads = np.zeros_like(kt)
+            live = absdet > DET_ZERO
+            adj = adjugate(kt[live])
+            coeff = (expo / 2.0) * absdet[live] ** (expo - 2.0) * dets[live]
+            grads[live] += coeff[:, None, None] * np.conj(np.transpose(adj, (0, 2, 1)))
+        terms = _split_terms(kt, dims_t, grads, weight)
         # summed operator by operator, cut by cut, in order
         penalty = np.add.accumulate(terms.reshape(restarts, -1), axis=1)[:, -1] \
-            if cuts else np.zeros(restarts)
+            if terms.size else np.zeros(restarts)
         value = value + weight * penalty
         if not need_grad:
             return value, None
@@ -391,9 +386,7 @@ def tensor_bound_check(local_channels,
     local_channels = list(local_channels)
     locals_found = [erf_minimize(ch, opts) for ch in local_channels]
     joint = tensor_channels(local_channels)
-    seed_mixing = locals_found[0].mixing_isometry
-    for est in locals_found[1:]:
-        seed_mixing = np.kron(seed_mixing, est.mixing_isometry)
+    seed_mixing = functools.reduce(np.kron, [est.mixing_isometry for est in locals_found])
     joint_est = erf_minimize(joint, opts, initial_mixings=(seed_mixing,))
     bound = math.prod(est.value for est in locals_found)
     slack = bound - joint_est.value

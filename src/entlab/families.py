@@ -187,13 +187,13 @@ def random_separable_channel(dims, count: int, rng) -> SeparableChannel:
 # Registry used by the command-line harness: name -> (builder, kind).
 # Channel families take the parameter value; state families likewise.
 CHANNEL_FAMILIES = {
-    "identity": lambda param=None, dims=(2, 2): identity_channel(dims),
-    "bit-flip-correlated": lambda param=0.3, dims=(2, 2): bit_flip_correlated(param),
-    "depolarizing": lambda param=0.5, dims=(2, 2): embed_one_sided(
+    "identity": lambda param, dims: identity_channel(dims),
+    "bit-flip-correlated": lambda param, dims: bit_flip_correlated(param),
+    "depolarizing": lambda param, dims: embed_one_sided(
         depolarizing_kraus(param), 0, dims),
-    "amplitude-damping": lambda param=0.5, dims=(2, 2): embed_one_sided(
+    "amplitude-damping": lambda param, dims: embed_one_sided(
         amplitude_damping_kraus(param), 0, dims),
-    "phase-damping": lambda param=0.5, dims=(2, 2): embed_one_sided(
+    "phase-damping": lambda param, dims: embed_one_sided(
         phase_damping_kraus(param), 0, dims),
 }
 

@@ -56,6 +56,8 @@ class Measure:
                 f"got {dims.dims}"
             )
 
+    # methods over the poly_batch fields so that the benchmark tracer can
+    # wrap them by name
     def eval_poly_batch(self, rows: np.ndarray) -> np.ndarray:
         return self.poly_batch(rows)
 

@@ -114,7 +114,9 @@ def _ensemble_search(rho: DensityMatrix, stages, opts, gradient_tolerance: float
     basis = np.sqrt(lam)[:, None] * vecs.T
     objectives = [(make(basis), budget) for make, budget in stages]
     stream = RandomStream(opts.seed)
-    restarts = max(1, opts.restarts)
+    restarts = opts.restarts
+    if restarts < 1:
+        raise ValueError(f"restarts must be >= 1, got {restarts}")
     points = np.stack([random_isometry(m, rank, stream.child(j))
                        for j in range(restarts)])
     iterations = np.zeros(restarts, dtype=int)

@@ -64,10 +64,14 @@ class StiefelResult:
     """
 
     points: np.ndarray
-    values: tuple[float, ...]
     stop_reasons: tuple[str, ...]
     restart_iterations: tuple[int, ...]
     histories: tuple[tuple[float, ...], ...]
+
+    @property
+    def values(self) -> tuple[float, ...]:
+        """Each restart's final value, the last entry of its history."""
+        return tuple(h[-1] for h in self.histories)
 
     @property
     def iterations(self) -> int:
@@ -104,8 +108,9 @@ def minimize_on_stiefel(fun, v0: np.ndarray, *, max_iterations: int = 300,
     points = np.array(v0, dtype=np.complex128)
     if points.ndim != 3:
         raise ValueError(f"v0 must be an (R, m, r) stack of isometries, got shape {points.shape}")
+    if max_iterations < 0:
+        raise ValueError(f"max_iterations must be >= 0, got {max_iterations}")
     n = points.shape[0]
-    final_values = np.empty(n)
     reasons = ["max_iterations"] * n
     iterations = [max_iterations] * n
     lengths = np.full(n, max_iterations + 1)
@@ -124,7 +129,6 @@ def minimize_on_stiefel(fun, v0: np.ndarray, *, max_iterations: int = 300,
         nonlocal live, v, value, grad, step, prev_v, prev_gt
         done = live[mask]
         points[done] = v[mask]
-        final_values[done] = value[mask]
         lengths[done] = accepted_steps + 1
         for i in done:
             reasons[i] = reason
@@ -199,12 +203,9 @@ def minimize_on_stiefel(fun, v0: np.ndarray, *, max_iterations: int = 300,
             callback(v)
 
     points[live] = v
-    final_values[live] = value
     return StiefelResult(
         points=points,
-        values=tuple(float(x) for x in final_values),
         stop_reasons=tuple(reasons),
         restart_iterations=tuple(iterations),
-        histories=tuple(tuple(float(x) for x in history[:lengths[i], i])
-                        for i in range(n)),
+        histories=tuple(tuple(history[:lengths[i], i].tolist()) for i in range(n)),
     )

@@ -125,6 +125,19 @@ class TestExitCodes:
         assert run(["verify", "--random-channel", "--dims", "2,2"]) == 4
         assert "entlab: no entangled input found" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("args, name", [
+        (["erf", "--family", "amplitude-damping", "--max-iterations", "-1"],
+         "max_iterations"),
+        (["roof", "--state-family", "werner", "--p", "0.9", "--restarts", "0"],
+         "restarts"),
+        (["erf", "--family", "amplitude-damping", "--restarts", "-2"], "restarts"),
+    ], ids=["erf-iterations", "roof-restarts", "erf-restarts"])
+    def test_out_of_range_search_count_is_usage_error(self, args, name, capsys):
+        assert run(args) == 2
+        errors = [line for line in capsys.readouterr().err.splitlines()
+                  if line.startswith("entlab: ")]
+        assert len(errors) == 1 and name in errors[0]
+
     def test_malformed_pure_state_entry_is_usage_error(self, bitflip_file, tmp_path):
         path = tmp_path / "bad_state.json"
         path.write_text(json.dumps({"dims": [2, 2], "type": "pure",

@@ -11,14 +11,15 @@ from entlab.channels import (SeparableChannel, SeparableKrausOperator, apply,
                              tensor_channels, verify_evolution)
 from entlab.erf import (MixingSearchOptions, erf_bounds, erf_minimize,
                         tensor_bound_check, _mix, _products_are_rescaled_kraus,
-                        _realign, _search_mixings, _split_terms)
+                        _realign, _search_mixings, _search_objective, _split_terms)
 from entlab.linalg import DensityMatrix, LocalDims, kron, kron_all
 from entlab.measures import concurrence, measure_pure, wootters_concurrence
 from entlab.families import (amplitude_damping_kraus, bell_state,
                              bit_flip_correlated, max_entangled_state,
                              phase_damping_kraus, random_local_kraus,
                              random_separable_channel)
-from entlab.sampling import RandomStream, ginibre, random_density, random_pure_state
+from entlab.sampling import (RandomStream, ginibre, random_density, random_isometry,
+                             random_pure_state)
 
 RNG = RandomStream(1618)
 
@@ -149,8 +150,9 @@ class TestErfMinimize:
         assert est.value <= decay_factor(ch) + 1e-12
 
     def test_failed_search_falls_back_to_given_representation(self):
-        # with a single step per penalty stage the searched endpoints stay
-        # non-separable, so only the given representation is feasible
+        # bit-flip passes the rank test, so nothing is searched and the
+        # given representation is the only feasible one; the search's own
+        # fallback is checked on a rank-failing channel below
         ch = bit_flip_correlated(0.3)
         est = erf_minimize(ch, MixingSearchOptions(restarts=2, max_iterations=1))
         assert not est.search_feasible
@@ -222,6 +224,35 @@ class TestExactPath:
             est = _search_mixings(ch, QUICK)
             assert not est.exact
             assert est.value >= decay_factor(ch) - 1e-7
+
+
+def local_triple():
+    g = RNG.child(14).generator()
+    return tensor_channels([local_channel(random_local_kraus(2, count, g))
+                            for count in (2, 2, 1)])
+
+
+class TestSearchObjective:
+    @pytest.mark.parametrize("make", [
+        lambda: tensor_pair(2),
+        local_triple,
+        lambda: embed_one_sided(amplitude_damping_kraus(0.36), 1, (2, 2, 2)),
+    ], ids=["tensor-pair", "2-2-1-triple", "one-sided-party-1"])
+    def test_gradient_matches_central_differences(self, make):
+        # at weight 100 a 10% error in either the determinant part or the
+        # separability part of the gradient fails the check
+        ch = make()
+        m = len(ch)
+        fun = _search_objective(ch.joint_ops, ch.dims, 100.0)
+        u = np.stack([random_isometry(m + 1, m, RNG.child(15, i)) for i in range(2)])
+        _, grad = fun(u, True)
+        g = RNG.child(16).generator()
+        h = 1e-6
+        for _ in range(10):
+            d = g.standard_normal(u.shape) + 1j * g.standard_normal(u.shape)
+            fd = (np.sum(fun(u + h * d, False)[0]) - np.sum(fun(u - h * d, False)[0])) / (2 * h)
+            exact = 2.0 * np.sum(grad.conj() * d).real
+            assert abs(fd - exact) < 1e-5 * max(1.0, abs(exact))
 
 
 class TestErfBounds:
