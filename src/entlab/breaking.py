@@ -102,10 +102,10 @@ def schmidt_number_upper(rho: DensityMatrix, target: int,
     """Search for an ensemble whose members all have Schmidt rank <= target.
 
     Runs the convex-roof ensemble search with the summed squared Schmidt
-    tail beyond index ``target`` of every unnormalized member as objective,
-    stopping once a restart drives it below 1e-16.  A decomposition counts
-    as a certificate when every member's normalized coefficients beyond the
-    target are below 1e-6.
+    tail beyond index ``target`` of every unnormalized member as objective.
+    The certificate is read from the restart with the lowest tail: its
+    decomposition counts when every member's normalized coefficients beyond
+    the target are below 1e-6.
     """
     if rho.dims.n_parties != 2:
         raise ValueError("Schmidt number needs a bipartite state")
@@ -120,8 +120,7 @@ def schmidt_number_upper(rho: DensityMatrix, target: int,
 
     stage = (partial(_tail_objective, target=target, d_a=d_a, d_b=d_b),
              opts.max_iterations)
-    result = _ensemble_search(rho, [stage], opts, 1e-10, target=target,
-                              stop_below=1e-16)
+    result = _ensemble_search(rho, [stage], opts, 1e-10, target=target)
 
     max_tail = 0.0
     for _, member in result.ensemble:
@@ -193,6 +192,8 @@ def r_peb_test(local_ops, target: int, probes: int = 20,
     agree, and any divergence is flagged.  Exact verdicts exist for d=2,
     target=1; elsewhere evidence is certificate-based.
     """
+    if probes < 0:
+        raise ValueError(f"probes must be >= 0, got {probes}")
     d = as_complex_matrix(local_ops[0]).shape[0]
     # (Phi x I) on the d x d doubled space; raises if the local list does not close
     extended = embed_one_sided(local_ops, 0, (d, d))
@@ -230,8 +231,14 @@ def eb_threshold_scan(family, target: int, lo: float = 0.0, hi: float = 1.0,
     points first checks that the breaking verdict is monotone in the
     parameter; a non-monotone scan raises with the offending bracket.
     Verdicts come from the maximally entangled probe (exact for qubit
-    families at target 1).
+    families at target 1).  Bisection stops once the bracket is no wider
+    than ``tol`` or has no float strictly inside it.
     """
+    if not tol > 0:
+        raise ValueError(f"bisection tol must be > 0, got {tol!r}")
+    if not lo < hi:
+        raise ValueError(f"bisection range needs lo < hi, got [{lo:g}, {hi:g}]")
+
     def verdict(param: float) -> bool | None:
         report = r_peb_test(family(param), target, probes=0, seed=seed)
         return report.breaking
@@ -258,6 +265,8 @@ def eb_threshold_scan(family, target: int, lo: float = 0.0, hi: float = 1.0,
     a, b = last_false, first_true
     while b - a > tol:
         mid = (a + b) / 2.0
+        if not a < mid < b:
+            break
         if verdict(mid):
             b = mid
         else:

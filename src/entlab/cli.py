@@ -203,7 +203,7 @@ def cmd_verify(args):
         "tol_aggregate": tol_aggregate,
         "pass": ok,
     }
-    return summary, records, ok
+    return summary, records
 
 
 def cmd_decay(args):
@@ -225,7 +225,7 @@ def cmd_decay(args):
         "random_unitary": bool(is_random_unitary(channel)),
         "pass": ok,
     }
-    return summary, records, ok
+    return summary, records
 
 
 def cmd_erf(args):
@@ -264,7 +264,7 @@ def cmd_erf(args):
             ok = bool(ok and ordered)
             summary["bounds_ordered"] = ordered
         summary["pass"] = ok
-    return summary, records, ok
+    return summary, records
 
 
 def cmd_roof(args):
@@ -294,7 +294,7 @@ def cmd_roof(args):
         summary["oracle_deviation"] = float(abs(result.value - oracle))
         ok = ok and abs(result.value - oracle) < 1e-4
     summary["pass"] = ok
-    return summary, records, ok
+    return summary, records
 
 
 def cmd_breaking(args):
@@ -303,7 +303,10 @@ def cmd_breaking(args):
                          f"known: {sorted(LOCAL_FAMILIES)}")
     family = LOCAL_FAMILIES[args.family]
     if args.bisect:
-        lo, hi = (float(x) for x in args.range.split(":")[:2])
+        try:
+            lo, hi = (float(x) for x in args.range.split(":"))
+        except ValueError as exc:
+            raise ValueError(f"--range must be lo:hi, got {args.range!r}") from exc
         scan = eb_threshold_scan(family, args.r, lo, hi,
                                  tol=args.bisect_tol, seed=args.seed)
         records = [{"param": p, "breaking": f} for p, f in scan.grid]
@@ -313,7 +316,7 @@ def cmd_breaking(args):
             "always_breaking": scan.always_breaking,
             "pass": True,
         }
-        return summary, records, True
+        return summary, records
     report = r_peb_test(family(args.param), args.r, probes=args.probes,
                         seed=args.seed)
     records = [{
@@ -327,7 +330,7 @@ def cmd_breaking(args):
         "divergent_probes": list(report.divergent_probes),
         "pass": bool(report.agreement),
     }
-    return summary, records, bool(report.agreement)
+    return summary, records
 
 
 def cmd_sweep(args):
@@ -351,7 +354,7 @@ def cmd_sweep(args):
         "max_value": max(values),
         "pass": ok,
     }
-    return summary, records, ok
+    return summary, records
 
 
 # --- argument parsing ---------------------------------------------------------
@@ -458,7 +461,7 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     started = time.monotonic()
     try:
-        summary, records, ok = _COMMANDS[args.command](args)
+        summary, records = _COMMANDS[args.command](args)
         report = _report(_config_echo(args), records, summary)
         _emit(report, args)
     except (OSError, json.JSONDecodeError) as exc:
@@ -473,7 +476,7 @@ def main(argv=None) -> int:
     finally:
         elapsed = time.monotonic() - started
         print(f"entlab {args.command}: {elapsed:.3f}s", file=sys.stderr)
-    return 0 if ok else 1
+    return 0 if summary["pass"] else 1
 
 
 if __name__ == "__main__":

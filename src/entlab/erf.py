@@ -165,9 +165,14 @@ class ErfEstimate:
     value: float
     separability_residual: float
     mixing_isometry: np.ndarray
-    search_feasible: bool
     feasible_values: tuple[float, ...]
     exact: bool
+
+    @property
+    def search_feasible(self) -> bool:
+        """Whether a searched alternative joined the given representation
+        among the feasible values."""
+        return len(self.feasible_values) > 1
 
 
 def _mix(ks: np.ndarray, u: np.ndarray) -> np.ndarray:
@@ -264,7 +269,6 @@ def erf_minimize(channel: SeparableChannel,
         value=value,
         separability_residual=0.0,
         mixing_isometry=np.eye(m + opts.extra_operators, m, dtype=np.complex128),
-        search_feasible=False,
         feasible_values=(value,),
         exact=True,
     )
@@ -329,7 +333,6 @@ def _search_mixings(channel: SeparableChannel, opts: MixingSearchOptions,
         value=float(values[best]),
         separability_residual=float(residuals[best]),
         mixing_isometry=isometries[best],
-        search_feasible=values.size > 1,
         feasible_values=tuple(sorted(values.tolist())),
         exact=False,
     )

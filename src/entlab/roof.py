@@ -46,12 +46,16 @@ class RoofOptions:
 
 @dataclass(frozen=True)
 class RoofResult:
-    value: float
     ensemble: tuple[tuple[float, PureState], ...]
     converged: bool
     best_restart_index: int
     restart_values: tuple[float, ...]
     iterations: int
+
+    @property
+    def value(self) -> float:
+        """The best restart's final value."""
+        return self.restart_values[self.best_restart_index]
 
 
 def _ensemble_objective(measure: Measure, basis: np.ndarray, mu: float = 0.0):
@@ -95,7 +99,7 @@ def _eigenbasis(rho: DensityMatrix) -> tuple[np.ndarray, np.ndarray]:
 
 
 def _ensemble_search(rho: DensityMatrix, stages, opts, gradient_tolerance: float,
-                     target: int = 1, stop_below: float = -np.inf) -> RoofResult:
+                     target: int = 1) -> RoofResult:
     """Minimize an ensemble objective over the decompositions of rho.
 
     ``stages`` lists ``(make_objective, budget)`` pairs: ``make_objective``
@@ -103,10 +107,9 @@ def _ensemble_search(rho: DensityMatrix, stages, opts, gradient_tolerance: float
     stacked descent objective of the mixing isometries.  All
     ``opts.restarts`` restarts run each stage as one stack, restart j from
     the Haar-random isometry of ``stream.child(j)`` with
-    rank * max(rank, target) rows.  The result reports the restarts a
-    one-by-one search would have run, which stops at the first restart
-    whose value falls below ``stop_below``, and holds the best of them with
-    its normalized ensemble.
+    rank * max(rank, target) rows.  The result reports every restart's
+    final value and holds the lowest, with its normalized ensemble; ties
+    resolve to the lowest restart index.
     """
     lam, vecs = _eigenbasis(rho)
     rank = lam.size
@@ -119,19 +122,13 @@ def _ensemble_search(rho: DensityMatrix, stages, opts, gradient_tolerance: float
         raise ValueError(f"restarts must be >= 1, got {restarts}")
     points = np.stack([random_isometry(m, rank, stream.child(j))
                        for j in range(restarts)])
-    iterations = np.zeros(restarts, dtype=int)
-    for stage, (fun, budget) in enumerate(objectives, 1):
-        res = minimize_on_stiefel(
-            fun, points, max_iterations=budget, gradient_tolerance=gradient_tolerance,
-            stop_below=stop_below if stage == len(objectives) else -np.inf)
+    iterations = 0
+    for fun, budget in objectives:
+        res = minimize_on_stiefel(fun, points, max_iterations=budget,
+                                  gradient_tolerance=gradient_tolerance)
         points = res.points
-        iterations += res.restart_iterations
-    # keep the restarts a one-by-one search would have run: up to the first
-    # whose value falls below stop_below
-    below = np.flatnonzero(np.array(res.values) < stop_below)
-    used = int(below[0]) + 1 if below.size else restarts
-    values = res.values[:used]
-    best = int(np.argmin(values))
+        iterations += res.iterations
+    best = int(np.argmin(res.values))
 
     states = points[best] @ basis
     weights = np.einsum("ij,ij->i", states, states.conj()).real
@@ -139,11 +136,9 @@ def _ensemble_search(rho: DensityMatrix, stages, opts, gradient_tolerance: float
         (float(w), PureState(s / np.sqrt(w), rho.dims))
         for w, s in zip(weights, states) if w > 1e-14
     )
-    return RoofResult(value=values[best], ensemble=ensemble,
-                      converged=res.converged[best],
-                      best_restart_index=best,
-                      restart_values=values,
-                      iterations=int(iterations[:used].sum()))
+    return RoofResult(ensemble=ensemble, converged=res.converged[best],
+                      best_restart_index=best, restart_values=res.values,
+                      iterations=iterations)
 
 
 def convex_roof(measure: Measure, rho: DensityMatrix,

@@ -10,9 +10,9 @@ Every function here works on an (R, m, r) stack of R independent restarts,
 one m x r isometry each.  The descent evaluates the objective once per step
 on the sub-stack of restarts still running, so a stack of R restarts costs
 about as many numpy calls as one.  Each restart keeps its own step length,
-line search and stop state; when the objective evaluates each member of a
-stack as it would evaluate it alone, a restart's iterates are bitwise those
-of a descent run on it alone.
+line search and stop state, and no restart's stop depends on another's;
+when the objective evaluates each member of a stack as it would evaluate it
+alone, a restart's iterates are bitwise those of a descent run on it alone.
 """
 
 from __future__ import annotations
@@ -59,8 +59,8 @@ class StiefelResult:
     """Outcome of a stacked descent; entry i of every per-restart field
     belongs to restart i of the starting stack.
 
-    ``stop_reasons`` entries are 'gradient', 'stalled', 'plateau',
-    'max_iterations' or 'cut'; ``iterations`` is the total over restarts.
+    ``stop_reasons`` entries are 'gradient', 'stalled', 'plateau' or
+    'max_iterations'; ``iterations`` is the total over restarts.
     """
 
     points: np.ndarray
@@ -80,13 +80,12 @@ class StiefelResult:
     @property
     def converged(self) -> tuple[bool, ...]:
         """Whether each restart stopped at a stationary point to working
-        precision rather than on its iteration budget or a cut."""
+        precision rather than on its iteration budget."""
         return tuple(s in ("gradient", "stalled", "plateau") for s in self.stop_reasons)
 
 
 def minimize_on_stiefel(fun, v0: np.ndarray, *, max_iterations: int = 300,
                         gradient_tolerance: float = 1e-8,
-                        stop_below: float = -np.inf,
                         callback=None) -> StiefelResult:
     """Minimize fun over isometries by safeguarded spectral descent, from
     every start of the (R, m, r) stack ``v0`` at once.
@@ -99,11 +98,6 @@ def minimize_on_stiefel(fun, v0: np.ndarray, *, max_iterations: int = 300,
     convergence at a stationary point to working precision.  A restart that
     has stopped is not evaluated again.  ``callback`` receives the stack of
     restarts that accepted a step, after each step.
-
-    ``stop_below`` serves searches that would run the restarts one after
-    another and stop at the first whose value falls below it: once restart
-    i's value is below it, every later restart is cut (stop reason 'cut').
-    Accepted steps only lower a value, so restart i would end below it too.
     """
     points = np.array(v0, dtype=np.complex128)
     if points.ndim != 3:
@@ -125,11 +119,11 @@ def minimize_on_stiefel(fun, v0: np.ndarray, *, max_iterations: int = 300,
     step = np.ones(n)
     prev_v = prev_gt = None
 
-    def retire(mask, reason, it, accepted_steps):
+    def retire(mask, reason, it):
         nonlocal live, v, value, grad, step, prev_v, prev_gt
         done = live[mask]
         points[done] = v[mask]
-        lengths[done] = accepted_steps + 1
+        lengths[done] = it
         for i in done:
             reasons[i] = reason
             iterations[i] = it
@@ -140,26 +134,18 @@ def minimize_on_stiefel(fun, v0: np.ndarray, *, max_iterations: int = 300,
             prev_v, prev_gt = prev_v[keep], prev_gt[keep]
         return keep
 
-    def cut_after_first_below(it):
-        below = live[value < stop_below]
-        if below.size:
-            cut = live > below[0]
-            if cut.any():
-                retire(cut, "cut", it, it)
-
-    cut_after_first_below(0)
     for it in range(1, max_iterations + 1):
         gt = project_tangent(v, grad)
         gn2 = _vdots(gt, gt)
         stop = np.sqrt(gn2) < gradient_tolerance
         if stop.any():
-            keep = retire(stop, "gradient", it, it - 1)
+            keep = retire(stop, "gradient", it)
             gt, gn2 = gt[keep], gn2[keep]
         if it > PLATEAU_WINDOW:
             window_gain = history[it - PLATEAU_WINDOW - 1, live] - value
             stop = window_gain < PLATEAU_REL * np.maximum(1.0, np.abs(value))
             if stop.any():
-                keep = retire(stop, "plateau", it, it - 1)
+                keep = retire(stop, "plateau", it)
                 gt, gn2 = gt[keep], gn2[keep]
         if live.size == 0:
             break
@@ -190,7 +176,7 @@ def minimize_on_stiefel(fun, v0: np.ndarray, *, max_iterations: int = 300,
             step[searching] /= 2.0
             searching = searching[step[searching] >= MIN_STEP]
         if not accepted.all():
-            keep = retire(~accepted, "stalled", it, it - 1)
+            keep = retire(~accepted, "stalled", it)
             gt, trial_v = gt[keep], trial_v[keep]
         if live.size == 0:
             break
@@ -198,7 +184,6 @@ def minimize_on_stiefel(fun, v0: np.ndarray, *, max_iterations: int = 300,
         v = trial_v
         value, grad = fun(v, True)
         history[it, live] = value
-        cut_after_first_below(it)
         if callback is not None:
             callback(v)
 

@@ -1,5 +1,8 @@
 """Schmidt machinery and partial entanglement-breaking classification."""
 
+import contextlib
+import signal
+
 import numpy as np
 import pytest
 
@@ -14,6 +17,22 @@ from entlab.families import (amplitude_damping_kraus, bell_state,
 from entlab.sampling import RandomStream, random_density, random_pure_state
 
 RNG = RandomStream(8128)
+
+
+@contextlib.contextmanager
+def time_limit(seconds):
+    """Raise TimeoutError in the block after ``seconds``, so a loop that does
+    not end fails the test instead of hanging the run."""
+    def expire(signum, frame):
+        raise TimeoutError(f"still running after {seconds} s")
+
+    previous = signal.signal(signal.SIGALRM, expire)
+    signal.setitimer(signal.ITIMER_REAL, seconds)
+    try:
+        yield
+    finally:
+        signal.setitimer(signal.ITIMER_REAL, 0)
+        signal.signal(signal.SIGALRM, previous)
 
 
 class TestSchmidtRank:
@@ -146,3 +165,24 @@ class TestThresholdScan:
             return depolarizing_kraus(0.9 - 0.8 * p)
         with pytest.raises(ValueError, match="monotone"):
             eb_threshold_scan(family, 1)
+
+    @pytest.mark.parametrize("tol", [1e-20, 5e-324])
+    def test_tolerance_below_the_float_spacing_ends(self, tol):
+        with time_limit(10):
+            scan = eb_threshold_scan(depolarizing_kraus, 1, tol=tol)
+        a, b = scan.bracket
+        # bisected until no float lies strictly inside the bracket
+        assert np.nextafter(a, b) == b
+        assert a <= scan.threshold <= b
+        assert abs(scan.threshold - 2.0 / 3.0) < 1e-9
+
+    @pytest.mark.parametrize("kwargs, match", [
+        ({"tol": 0.0}, "tol"),
+        ({"tol": -1e-3}, "tol"),
+        ({"tol": float("nan")}, "tol"),
+        ({"lo": 1.0, "hi": 0.0}, "lo < hi"),
+        ({"lo": 0.5, "hi": 0.5}, "lo < hi"),
+    ])
+    def test_invalid_bisection_input_rejected(self, kwargs, match):
+        with pytest.raises(ValueError, match=match):
+            eb_threshold_scan(depolarizing_kraus, 1, **kwargs)

@@ -131,9 +131,22 @@ class TestExitCodes:
         (["roof", "--state-family", "werner", "--p", "0.9", "--restarts", "0"],
          "restarts"),
         (["erf", "--family", "amplitude-damping", "--restarts", "-2"], "restarts"),
-    ], ids=["erf-iterations", "roof-restarts", "erf-restarts"])
+        (["breaking", "--family", "depolarizing", "--probes", "-1"], "probes"),
+    ], ids=["erf-iterations", "roof-restarts", "erf-restarts", "breaking-probes"])
     def test_out_of_range_search_count_is_usage_error(self, args, name, capsys):
         assert run(args) == 2
+        errors = [line for line in capsys.readouterr().err.splitlines()
+                  if line.startswith("entlab: ")]
+        assert len(errors) == 1 and name in errors[0]
+
+    @pytest.mark.parametrize("args, name", [
+        (["--bisect-tol", "0"], "tol"),
+        (["--range", "0.5"], "--range"),
+        (["--range", "0:0.5:1"], "--range"),
+        (["--range", "1:0"], "lo < hi"),
+    ], ids=["zero-tol", "one-field-range", "three-field-range", "reversed-range"])
+    def test_bad_bisection_input_is_usage_error(self, args, name, capsys):
+        assert run(["breaking", "--family", "depolarizing", "--bisect"] + args) == 2
         errors = [line for line in capsys.readouterr().err.splitlines()
                   if line.startswith("entlab: ")]
         assert len(errors) == 1 and name in errors[0]

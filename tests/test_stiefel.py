@@ -79,23 +79,6 @@ def test_a_stationary_start_stops_on_the_gradient_at_once():
     assert len(set(res.stop_reasons)) >= 3
 
 
-def test_stop_below_cuts_the_restarts_after_the_first_below_it():
-    fun, starts, budget = tangle_case()
-    free = minimize_on_stiefel(fun, starts, max_iterations=budget)
-    # restart 0 ends lowest and passes restart 1's final value first
-    threshold = free.values[1]
-    assert min(free.values) == free.values[0]
-    step = next(k for k, v in enumerate(free.histories[0]) if v < threshold)
-    cut = minimize_on_stiefel(fun, starts, max_iterations=budget, stop_below=threshold)
-    assert cut.stop_reasons[0] == free.stop_reasons[0]
-    assert cut.histories[0] == free.histories[0]
-    assert np.array_equal(cut.points[0], free.points[0])
-    for i in range(1, starts.shape[0]):
-        assert cut.stop_reasons[i] == "cut"
-        assert cut.restart_iterations[i] == step
-        assert cut.histories[i] == free.histories[i][:step + 1]
-
-
 @pytest.mark.parametrize("shape", [(1, 4, 2), (5, 9, 3), (8, 6, 6)])
 def test_vdots_equal_one_vdot_per_member(shape):
     g = RNG.child(3).generator()
