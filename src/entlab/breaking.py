@@ -236,8 +236,8 @@ def eb_threshold_scan(family, target: int, lo: float = 0.0, hi: float = 1.0,
     """
     if not tol > 0:
         raise ValueError(f"bisection tol must be > 0, got {tol!r}")
-    if not lo < hi:
-        raise ValueError(f"bisection range needs lo < hi, got [{lo:g}, {hi:g}]")
+    if not (np.isfinite([lo, hi]).all() and lo < hi):
+        raise ValueError(f"bisection range needs finite lo < hi, got [{lo:g}, {hi:g}]")
 
     def verdict(param: float) -> bool | None:
         report = r_peb_test(family(param), target, probes=0, seed=seed)

@@ -48,8 +48,8 @@ def _parse_range(text: str) -> list[float]:
     if len(parts) != 3:
         raise ValueError(f"range must be start:stop:step, got {text!r}")
     lo, hi, step = (float(p) for p in parts)
-    if step <= 0 or hi < lo:
-        raise ValueError(f"bad range {text!r}")
+    if not np.isfinite([lo, hi, step]).all() or step <= 0 or hi < lo:
+        raise ValueError(f"bad range {text!r}: needs finite start <= stop and step > 0")
     count = int(round((hi - lo) / step)) + 1
     return [min(lo + i * step, hi) for i in range(count)
             if lo + i * step <= hi + 1e-12]

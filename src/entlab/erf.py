@@ -6,14 +6,16 @@ Every Kraus representation mixes the given list by an isometry U,
 linearly independent and so are the products of the other parties' factors,
 the only product operators in span{K_m} are multiples of single K_m, so every
 separable representation has the given decay factor and that value is exact
-(:func:`_products_are_rescaled_kraus`).  Otherwise the isometries are
-searched: separability of every mixed operator is enforced softly through a
-graduated penalty on the realignment terms of :func:`_split_terms`, and the
-same terms decide feasibility at the end.  A searched value is an upper
-estimate: it minimizes over a searched subset of representations, and since
-their operators are products only up to the 1e-6 separability threshold it
-can also sit slightly below the true minimum; infeasible searches are
-reported, never silently rounded.
+(:func:`_products_are_rescaled_kraus`).  Otherwise the roof's search core
+searches the ensembles (K~_j x I)|phi+> of the Choi state, whose
+``g_concurrence(D)`` roof objective is the determinant sum: separability of
+every mixed operator is enforced softly through a graduated penalty on the
+realignment terms of :func:`_split_terms`, which also decide feasibility at
+the end; a list on one party has no cut and gets the roof's smoothing
+instead.  A searched value is an upper estimate: it minimizes over a searched
+subset of representations, and since their operators are products only up to
+the 1e-6 separability threshold it can also sit slightly below the true
+minimum; infeasible searches are reported, never silently rounded.
 """
 
 from __future__ import annotations
@@ -28,11 +30,10 @@ from .channels import (SeparableChannel, _mixed_entanglement, apply,
                        apply_kraus, decay_factor, tensor_channels,
                        verify_evolution)
 from .linalg import PureState, as_complex_matrix
-from .measures import Measure, adjugate
-from .sampling import RandomStream, random_density, random_isometry
-from .stiefel import minimize_on_stiefel
+from .measures import Measure, g_concurrence
+from .roof import _ensemble_objective, _search_core, _smoothing_stages
+from .sampling import RandomStream, random_density
 
-DET_ZERO = 1e-200
 NORM_ZERO = 1e-14
 # strictly increasing weights of the graduated separability penalty
 PENALTY_WEIGHTS = (10.0, 100.0, 1000.0, 10000.0)
@@ -143,6 +144,8 @@ class MixingSearchOptions:
             raise ValueError("extra_operators must be >= 0")
         if self.restarts < 0:
             raise ValueError(f"restarts must be >= 0, got {self.restarts}")
+        if self.max_iterations < 0:
+            raise ValueError(f"max_iterations must be >= 0, got {self.max_iterations}")
 
 
 @dataclass(frozen=True)
@@ -153,9 +156,10 @@ class ErfEstimate:
     :func:`_products_are_rescaled_kraus` passed: no separable representation
     differs from the given one up to rescaling, so ``value`` is
     :func:`decay_factor` exactly, the mixing is the identity and nothing was
-    searched.  Otherwise ``value`` is the best feasible determinant sum found,
-    never above :func:`decay_factor`; such a searched value can sit below the
-    true resilience factor by the slack of the 1e-6 separability threshold.
+    searched.  Otherwise ``value`` is the best feasible determinant sum the
+    roof's search finds on the Choi rows, never above :func:`decay_factor`; it
+    can sit below the true value by the slack of the 1e-6 separability
+    threshold, and above it when ``M + extra_operators`` terms are too few.
     ``separability_residual`` is the square root of the chosen
     representation's largest summed separability term (0 for the given one).
     ``search_feasible`` records whether any searched alternative met the
@@ -180,40 +184,28 @@ def _mix(ks: np.ndarray, u: np.ndarray) -> np.ndarray:
     return np.einsum("...jm,mab->...jab", u, ks)
 
 
-def _search_objective(ks: np.ndarray, dims, weight: float):
-    """Smooth inner objective: |det K~|^(2/D) sum plus the weighted sum of the
-    separability terms of :func:`_split_terms`, for a stack of mixing
-    isometries.
-
-    The mixed operators of every restart form one stack, so each cut costs
-    one SVD call and the determinants one call.
+def _search_objective(basis: np.ndarray, dims, weight: float):
+    """The ``g_concurrence(D)`` roof objective of the Choi rows ``basis``, the
+    |det K~|^(2/D) sum, plus ``weight`` times the summed separability terms of
+    :func:`_split_terms`, which are scale-free and so are taken on the
+    members K~ / sqrt(D) of a stack of mixing isometries.
     """
-    dims_t = tuple(dims)
-    d = math.prod(dims_t)
-    expo = 2.0 / d
+    d = math.prod(dims)
+    roof = _ensemble_objective(g_concurrence(d), basis)
+    basis_h = basis.conj().T
 
     def fun(u, need_grad):
         restarts, j = u.shape[:2]
-        kt = _mix(ks, u).reshape(restarts * j, d, d)
-        dets = np.linalg.det(kt)
-        absdet = np.abs(dets)
-        value = np.sum((absdet ** expo).reshape(restarts, j), axis=1)
-        grads = None
-        if need_grad:
-            grads = np.zeros_like(kt)
-            live = absdet > DET_ZERO
-            adj = adjugate(kt[live])
-            coeff = (expo / 2.0) * absdet[live] ** (expo - 2.0) * dets[live]
-            grads[live] += coeff[:, None, None] * np.conj(np.transpose(adj, (0, 2, 1)))
-        terms = _split_terms(kt, dims_t, grads, weight)
+        value, grad = roof(u, need_grad)
+        kt = (u @ basis).reshape(restarts * j, d, d)
+        grads = np.zeros_like(kt) if need_grad else None
+        terms = _split_terms(kt, dims, grads, weight)
         # summed operator by operator, cut by cut, in order
-        penalty = np.add.accumulate(terms.reshape(restarts, -1), axis=1)[:, -1] \
-            if terms.size else np.zeros(restarts)
+        penalty = np.add.accumulate(terms.reshape(restarts, -1), axis=1)[:, -1]
         value = value + weight * penalty
         if not need_grad:
             return value, None
-        gu = np.einsum("mab,njab->njm", ks.conj(), grads.reshape(restarts, j, d, d))
-        return value, gu
+        return value, grad + grads.reshape(restarts, j, -1) @ basis_h
 
     return fun
 
@@ -281,9 +273,10 @@ def _search_mixings(channel: SeparableChannel, opts: MixingSearchOptions,
     The given representation is always a candidate, so the result never
     exceeds :func:`decay_factor`.  Extra starting isometries (e.g. products
     of locally optimal mixings for tensor-product channels) can be supplied
-    through ``initial_mixings``.  Every start, random or supplied, runs each
-    penalty stage as one stack.  The physical channel is asserted unchanged
-    at every accepted iterate of every start.
+    through ``initial_mixings``.  The roof's search core runs every start on
+    the Choi rows vec(K_m) / sqrt(D) with ``M + extra_operators`` members, in
+    the four penalty stages, or in the roof's smoothing stages when the list
+    has no cut; the channel is asserted unchanged at every accepted iterate.
 
     A searched endpoint is feasible when every mixed operator's summed
     separability terms lie below ``SEPARABILITY_THRESHOLD**2``.
@@ -292,10 +285,9 @@ def _search_mixings(channel: SeparableChannel, opts: MixingSearchOptions,
     m = ks.shape[0]
     j = m + opts.extra_operators
     dims = channel.dims
-    identity = np.eye(j, m, dtype=np.complex128)
+    d = dims.total
 
-    stream = RandomStream(opts.seed)
-    probe = random_density(dims, dims.total, stream.child(0xFEED)).mat
+    probe = random_density(dims, d, RandomStream(opts.seed).child(0xFEED)).mat
     reference = apply_kraus(ks, probe)
 
     def assert_channel_preserved(us):
@@ -306,20 +298,20 @@ def _search_mixings(channel: SeparableChannel, opts: MixingSearchOptions,
     # the given representation is separable by type
     values = np.array([decay_factor(channel)])
     residuals = np.zeros(1)
-    isometries = identity[None]
+    isometries = np.eye(j, m, dtype=np.complex128)[None]
 
-    starts = [random_isometry(j, m, stream.child(i)) for i in range(opts.restarts)]
-    starts += [as_complex_matrix(u, j, m) for u in initial_mixings]
-    if starts:
-        us = np.stack(starts)
-        for w in PENALTY_WEIGHTS:
-            res = minimize_on_stiefel(_search_objective(ks, dims, w), us,
-                                      max_iterations=opts.max_iterations,
-                                      gradient_tolerance=1e-10,
-                                      callback=assert_channel_preserved)
-            us = res.points
+    if _cuts(len(dims)):
+        stages = [(functools.partial(_search_objective, dims=dims, weight=w),
+                   opts.max_iterations) for w in PENALTY_WEIGHTS]
+    else:
+        # no cut, no penalty: the roof's smoothing over the same budget
+        stages = _smoothing_stages(g_concurrence(d),
+                                   len(PENALTY_WEIGHTS) * opts.max_iterations)
+    starts = [as_complex_matrix(u, j, m) for u in initial_mixings]
+    if opts.restarts or starts:
+        us = _search_core(ks.reshape(m, d * d) / math.sqrt(d), j, stages, opts,
+                          1e-10, starts, assert_channel_preserved)[0].points
         kt = _mix(ks, us)
-        d = dims.total
         worst = np.max(np.sum(_split_terms(kt.reshape(-1, d, d), dims), axis=1)
                        .reshape(len(us), j), axis=1)
         feasible = worst < SEPARABILITY_THRESHOLD ** 2

@@ -8,13 +8,14 @@ M x r isometry V.  The optimizer returns an upper estimate of the true roof
 together with the realizing ensemble; exactness is only claimed where an
 independent oracle exists (pure inputs, two-qubit Wootters).
 
-The same ensemble search, with a different objective, finds the low
-Schmidt-rank decompositions behind the Schmidt-number certificate in
-:mod:`entlab.breaking`.  Restarts are independent given their derived streams
-and run together as one (restarts, M, r) stack through the stacked descent of
-:mod:`entlab.stiefel`, so ensemble objectives take a stack of isometries and
-return one value per restart; the minimum is reduced deterministically by
-restart index.
+The same ensemble search, with other objectives, finds the low Schmidt-rank
+decompositions behind the Schmidt-number certificate in :mod:`entlab.breaking`
+and, on a channel's Choi state, the Kraus representations behind the
+resilience factor in :mod:`entlab.erf`.  Restarts are independent given their
+derived streams and run together as one (restarts, M, r) stack through the
+stacked descent of :mod:`entlab.stiefel`, so ensemble objectives take a stack
+of isometries and return one value per restart; the minimum is reduced
+deterministically by restart index.
 """
 
 from __future__ import annotations
@@ -98,39 +99,42 @@ def _eigenbasis(rho: DensityMatrix) -> tuple[np.ndarray, np.ndarray]:
     return lam[keep], vecs[:, keep]
 
 
-def _ensemble_search(rho: DensityMatrix, stages, opts, gradient_tolerance: float,
-                     target: int = 1) -> RoofResult:
-    """Minimize an ensemble objective over the decompositions of rho.
-
-    ``stages`` lists ``(make_objective, budget)`` pairs: ``make_objective``
-    takes the r x D basis whose j-th row is sqrt(lam_j) e_j^T and returns the
-    stacked descent objective of the mixing isometries.  All
-    ``opts.restarts`` restarts run each stage as one stack, restart j from
-    the Haar-random isometry of ``stream.child(j)`` with
-    rank * max(rank, target) rows.  The result reports every restart's
-    final value and holds the lowest, with its normalized ensemble; ties
-    resolve to the lowest restart index.
-    """
-    lam, vecs = _eigenbasis(rho)
-    rank = lam.size
-    m = rank * max(rank, target)
-    basis = np.sqrt(lam)[:, None] * vecs.T
-    objectives = [(make(basis), budget) for make, budget in stages]
+def _search_core(basis: np.ndarray, members: int, stages, opts,
+                 gradient_tolerance: float, extra_starts=(), callback=None):
+    """Run the ``(make_objective, budget)`` stages, ``make_objective(basis)``
+    being the stacked objective of members x rows isometries, on one stack:
+    the Haar-random isometries of ``stream.child(j)``, j < ``opts.restarts``,
+    then ``extra_starts``; ``callback`` follows each accepted step.  Returns
+    the last :class:`StiefelResult` and the iterations summed over stages."""
     stream = RandomStream(opts.seed)
-    restarts = opts.restarts
-    if restarts < 1:
-        raise ValueError(f"restarts must be >= 1, got {restarts}")
-    points = np.stack([random_isometry(m, rank, stream.child(j))
-                       for j in range(restarts)])
+    points = np.stack([random_isometry(members, basis.shape[0], stream.child(j))
+                       for j in range(opts.restarts)] + list(extra_starts))
     iterations = 0
-    for fun, budget in objectives:
-        res = minimize_on_stiefel(fun, points, max_iterations=budget,
-                                  gradient_tolerance=gradient_tolerance)
+    for make, budget in stages:
+        res = minimize_on_stiefel(make(basis), points, max_iterations=budget,
+                                  gradient_tolerance=gradient_tolerance,
+                                  callback=callback)
         points = res.points
         iterations += res.iterations
+    return res, iterations
+
+
+def _ensemble_search(rho: DensityMatrix, stages, opts, gradient_tolerance: float,
+                     target: int = 1) -> RoofResult:
+    """Minimize an ensemble objective over the decompositions of rho: the
+    :func:`_search_core` on rows sqrt(lam_j) e_j^T with rank * max(rank,
+    target) members.  Every restart's final value is reported and the lowest
+    is kept, with its normalized ensemble; ties go to the lowest index."""
+    if opts.restarts < 1:
+        raise ValueError(f"restarts must be >= 1, got {opts.restarts}")
+    lam, vecs = _eigenbasis(rho)
+    rank = lam.size
+    basis = np.sqrt(lam)[:, None] * vecs.T
+    res, iterations = _search_core(basis, rank * max(rank, target), stages, opts,
+                                   gradient_tolerance)
     best = int(np.argmin(res.values))
 
-    states = points[best] @ basis
+    states = res.points[best] @ basis
     weights = np.einsum("ij,ij->i", states, states.conj()).real
     ensemble = tuple(
         (float(w), PureState(s / np.sqrt(w), rho.dims))
@@ -139,6 +143,14 @@ def _ensemble_search(rho: DensityMatrix, stages, opts, gradient_tolerance: float
     return RoofResult(ensemble=ensemble, converged=res.converged[best],
                       best_restart_index=best, restart_values=res.values,
                       iterations=iterations)
+
+
+def _smoothing_stages(measure: Measure, total: int):
+    """Graduated smoothing: polish on the exact objective after two warm stages."""
+    quarter = total // 4
+    return [(partial(_ensemble_objective, measure, mu=mu), max(1, budget))
+            for mu, budget in ((1e-2, quarter), (1e-5, quarter),
+                               (0.0, total - 2 * quarter))]
 
 
 def convex_roof(measure: Measure, rho: DensityMatrix,
@@ -152,9 +164,5 @@ def convex_roof(measure: Measure, rho: DensityMatrix,
     iteration budget without reaching a stationary point.
     """
     measure.check_dims(rho.dims)
-    quarter = opts.max_iterations // 4
-    # graduated smoothing: polish on the exact objective after two warm stages
-    stages = [(partial(_ensemble_objective, measure, mu=mu), max(1, budget))
-              for mu, budget in ((1e-2, quarter), (1e-5, quarter),
-                                 (0.0, opts.max_iterations - 2 * quarter))]
-    return _ensemble_search(rho, stages, opts, GRADIENT_TOLERANCE)
+    return _ensemble_search(rho, _smoothing_stages(measure, opts.max_iterations),
+                            opts, GRADIENT_TOLERANCE)

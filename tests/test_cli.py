@@ -132,7 +132,10 @@ class TestExitCodes:
          "restarts"),
         (["erf", "--family", "amplitude-damping", "--restarts", "-2"], "restarts"),
         (["breaking", "--family", "depolarizing", "--probes", "-1"], "probes"),
-    ], ids=["erf-iterations", "roof-restarts", "erf-restarts", "breaking-probes"])
+        (["erf", "--family", "amplitude-damping", "--dims", "2", "--max-iterations", "-1"],
+         "max_iterations"),
+    ], ids=["erf-iterations", "roof-restarts", "erf-restarts", "breaking-probes",
+            "one-party-erf-iterations"])
     def test_out_of_range_search_count_is_usage_error(self, args, name, capsys):
         assert run(args) == 2
         errors = [line for line in capsys.readouterr().err.splitlines()
@@ -144,12 +147,22 @@ class TestExitCodes:
         (["--range", "0.5"], "--range"),
         (["--range", "0:0.5:1"], "--range"),
         (["--range", "1:0"], "lo < hi"),
-    ], ids=["zero-tol", "one-field-range", "three-field-range", "reversed-range"])
+        (["--range", "0:inf"], "finite"),
+    ], ids=["zero-tol", "one-field-range", "three-field-range", "reversed-range",
+            "infinite-range"])
     def test_bad_bisection_input_is_usage_error(self, args, name, capsys):
         assert run(["breaking", "--family", "depolarizing", "--bisect"] + args) == 2
         errors = [line for line in capsys.readouterr().err.splitlines()
                   if line.startswith("entlab: ")]
         assert len(errors) == 1 and name in errors[0]
+
+    @pytest.mark.parametrize("text", ["0:inf:0.1", "-inf:1:0.1", "0:1:nan", "nan:1:0.1",
+                                      "0:1:inf"])
+    def test_non_finite_sweep_range_is_usage_error(self, text, capsys):
+        assert run(["sweep", "--family", "amplitude-damping", f"--param-range={text}"]) == 2
+        errors = [line for line in capsys.readouterr().err.splitlines()
+                  if line.startswith("entlab: ")]
+        assert len(errors) == 1 and repr(text) in errors[0]
 
     def test_malformed_pure_state_entry_is_usage_error(self, bitflip_file, tmp_path):
         path = tmp_path / "bad_state.json"

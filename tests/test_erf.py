@@ -6,6 +6,7 @@ import math
 import numpy as np
 import pytest
 
+from entlab.breaking import schmidt_number_upper
 from entlab.channels import (SeparableChannel, SeparableKrausOperator, apply,
                              apply_kraus, decay_factor, embed_one_sided,
                              tensor_channels, verify_evolution)
@@ -168,6 +169,30 @@ class TestErfMinimize:
         assert est.value == decay_factor(ch)
 
 
+
+def choi_state(ops, d):
+    return apply(embed_one_sided(ops, 0, (d, d)), max_entangled_state(d).density())
+
+
+class TestCutFreeSearch:
+    # a one-party list has no separability penalty, so its search is the
+    # G-concurrence roof of the Choi state and must reach the roof's oracles
+
+    @pytest.mark.parametrize("seed", range(6))
+    def test_three_operator_qubit_list_reaches_wootters(self, seed):
+        ops = random_local_kraus(2, 3, RandomStream(seed))
+        est = erf_minimize(local_channel(ops), MixingSearchOptions(extra_operators=6))
+        assert abs(est.value - wootters_concurrence(choi_state(ops, 2))) < 1e-9
+
+    @pytest.mark.parametrize("seed", [60, 61, 63])
+    def test_qutrit_list_with_schmidt_rank_two_choi_state_reaches_zero(self, seed):
+        # a Schmidt-rank-2 ensemble of J has zero G-concurrence in 3 x 3
+        ops = random_local_kraus(3, 3, RandomStream(seed))
+        assert schmidt_number_upper(choi_state(ops, 3), 2).found
+        ch = SeparableChannel(LocalDims((3,)),
+                              tuple(SeparableKrausOperator((k,)) for k in ops))
+        assert erf_minimize(ch).value <= 1e-6
+
 def exact_path_channels():
     chans = [bit_flip_correlated(0.3)]
     for i, dims in enumerate(((2, 2), (2, 2), (2, 2), (2, 2, 2), (2, 2, 2), (3, 3))):
@@ -243,7 +268,8 @@ class TestSearchObjective:
         # separability part of the gradient fails the check
         ch = make()
         m = len(ch)
-        fun = _search_objective(ch.joint_ops, ch.dims, 100.0)
+        basis = ch.joint_ops.reshape(m, -1) / math.sqrt(ch.dims.total)
+        fun = _search_objective(basis, ch.dims, 100.0)
         u = np.stack([random_isometry(m + 1, m, RNG.child(15, i)) for i in range(2)])
         _, grad = fun(u, True)
         g = RNG.child(16).generator()

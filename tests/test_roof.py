@@ -87,6 +87,29 @@ def test_descent_is_monotone_within_a_restart():
     assert all(a >= b - 1e-15 for a, b in zip(history, history[1:]))
 
 
+
+@pytest.mark.parametrize("mu", [1e-2, 1e-5, 0.0])
+@pytest.mark.parametrize("make, dims", [
+    (lambda: g_concurrence(3), (3, 3)),
+    (concurrence, (2, 2)),
+    (sqrt_three_tangle, (2, 2, 2)),
+], ids=["g_concurrence(3)", "concurrence", "sqrt_three_tangle"])
+def test_objective_gradient_matches_central_differences(make, dims, mu):
+    rho = random_density(dims, 2, RNG.child(10))
+    lam, vecs = np.linalg.eigh(rho.mat)
+    keep = lam > 1e-12
+    basis = np.sqrt(lam[keep])[:, None] * vecs[:, keep].T
+    fun = _ensemble_objective(make(), basis, mu)
+    g = RNG.child(11).generator()
+    v = qf_retract(g.standard_normal((2, 4, 2)) + 1j * g.standard_normal((2, 4, 2)))
+    _, grad = fun(v, True)
+    h = 1e-6
+    for _ in range(10):
+        d = g.standard_normal(v.shape) + 1j * g.standard_normal(v.shape)
+        fd = (np.sum(fun(v + h * d, False)[0]) - np.sum(fun(v - h * d, False)[0])) / (2 * h)
+        exact = 2.0 * np.sum(grad.conj() * d).real
+        assert abs(fd - exact) < 1e-6 * max(1.0, abs(exact))
+
 def test_result_ensemble_invariants():
     rho = random_density((2, 2), 3, RNG.child(7))
     res = convex_roof(concurrence(), rho, FAST)
