@@ -50,7 +50,11 @@ def _parse_range(text: str) -> list[float]:
     lo, hi, step = (float(p) for p in parts)
     if not np.isfinite([lo, hi, step]).all() or step <= 0 or hi < lo:
         raise ValueError(f"bad range {text!r}: needs finite start <= stop and step > 0")
-    count = int(round((hi - lo) / step)) + 1
+    span = (hi - lo) / step
+    if not np.isfinite(span):
+        raise ValueError(f"bad range {text!r}: the point count (stop - start) / step "
+                         f"is not finite")
+    count = int(round(span)) + 1
     return [min(lo + i * step, hi) for i in range(count)
             if lo + i * step <= hi + 1e-12]
 

@@ -7,12 +7,15 @@ use the Barzilai-Borwein spectral length safeguarded by a monotone Armijo
 backtracking line search.
 
 Every function here works on an (R, m, r) stack of R independent restarts,
-one m x r isometry each.  The descent evaluates the objective once per step
-on the sub-stack of restarts still running, so a stack of R restarts costs
-about as many numpy calls as one.  Each restart keeps its own step length,
-line search and stop state, and no restart's stop depends on another's;
-when the objective evaluates each member of a stack as it would evaluate it
-alone, a restart's iterates are bitwise those of a descent run on it alone.
+one m x r isometry each.  Per step, the descent makes one gradient call on
+the sub-stack of restarts still running and value calls on the restarts
+still searching for a step, each call trying a doubling run of halvings of
+every such restart's trial step (2, then 4, 8, ... steps), so a stack of R
+restarts costs about as many numpy calls as one.  Each restart keeps its
+own step length, line search and stop state, and no restart's stop depends
+on another's; when the objective evaluates each member of a stack as it
+would evaluate it alone, a restart's iterates are bitwise those of a
+descent run on it alone.
 """
 
 from __future__ import annotations
@@ -90,10 +93,16 @@ def minimize_on_stiefel(fun, v0: np.ndarray, *, max_iterations: int = 300,
     """Minimize fun over isometries by safeguarded spectral descent, from
     every start of the (R, m, r) stack ``v0`` at once.
 
-    ``fun(stack, need_grad)`` takes a (k, m, r) sub-stack of the running
-    restarts and returns ``(values, grads_or_None)``: k values and, when
-    asked, a (k, m, r) stack of gradients.  Accepted steps are monotone by
-    construction (Armijo condition); a collapsed line search or a plateau
+    ``fun(stack, need_grad)`` takes a (k, m, r) stack of isometries and
+    returns ``(values, grads_or_None)``: k values and, when asked, a
+    (k, m, r) stack of gradients.  Each step makes one call with gradients
+    at the running restarts' accepted points and one or more value-only
+    calls on trial points: the first tries every running restart's trial
+    step and its half, each further call the next 4, 8, ... halvings for the
+    restarts that have none accepted yet.  A restart takes its longest
+    passing step, the one that halving one trial per call would take, so
+    accepted steps are monotone by construction (Armijo condition).  A
+    collapsed line search (no step down to ``MIN_STEP`` passes) or a plateau
     (no measurable progress over a 40-iteration window) counts as
     convergence at a stationary point to working precision.  A restart that
     has stopped is not evaluated again.  ``callback`` receives the stack of
@@ -160,21 +169,40 @@ def minimize_on_stiefel(fun, v0: np.ndarray, *, max_iterations: int = 300,
             step = step * 2.0
         step = np.clip(step, MIN_STEP, MAX_STEP)
 
-        # Armijo backtracking, one objective call per round over the
-        # restarts still searching
+        # Armijo backtracking as a ladder: each objective call tries, for
+        # every restart still searching, the next run of halvings of its
+        # trial step (2, then 4, 8, ... rungs).  A restart takes its first
+        # rung that passes and is >= MIN_STEP: the step that one halving
+        # per call would accept, since scaling by a power of two is exact.
+        # Rungs below MIN_STEP in a restart's last run are tried, never taken.
         trial_v = np.empty_like(v)
         accepted = np.zeros(live.size, dtype=bool)
-        searching = np.arange(live.size)
-        while searching.size:
-            cand = qf_retract(v[searching] - step[searching, None, None] * gt[searching])
+        # the searching restarts' positions and, one row each, their base
+        # points, directions, trial steps, values and squared gradient norms
+        rows = np.arange(live.size)
+        base = (v[:, None], gt[:, None], step[:, None], value[:, None], gn2[:, None])
+        halvings, width = 0, 2
+        while True:
+            base_v, base_gt, top, base_value, base_gn2 = base
+            rungs = top * 2.0 ** -np.arange(halvings, halvings + width)
+            cand = qf_retract((base_v - rungs[..., None, None] * base_gt)
+                              .reshape(-1, *v.shape[1:]))
             new_value, _ = fun(cand, False)
-            ok = new_value <= (value[searching]
-                               - ARMIJO_C * step[searching] * gn2[searching])
-            trial_v[searching[ok]] = cand[ok]
-            accepted[searching[ok]] = True
-            searching = searching[~ok]
-            step[searching] /= 2.0
-            searching = searching[step[searching] >= MIN_STEP]
+            ok = ((new_value.reshape(rungs.shape)
+                   <= base_value - ARMIJO_C * rungs * base_gn2) & (rungs >= MIN_STEP))
+            hit = ok.any(axis=1)
+            first = ok.argmax(axis=1)[hit]
+            done = rows[hit]
+            trial_v[done] = cand[np.flatnonzero(hit) * width + first]
+            step[done] = rungs[hit, first]
+            accepted[done] = True
+            more = ~hit & (rungs[:, -1] / 2.0 >= MIN_STEP)
+            if not more.any():
+                break
+            rows = rows[more]
+            base = tuple(a[more] for a in base)
+            halvings += width
+            width *= 2
         if not accepted.all():
             keep = retire(~accepted, "stalled", it)
             gt, trial_v = gt[keep], trial_v[keep]

@@ -157,7 +157,7 @@ class TestExitCodes:
         assert len(errors) == 1 and name in errors[0]
 
     @pytest.mark.parametrize("text", ["0:inf:0.1", "-inf:1:0.1", "0:1:nan", "nan:1:0.1",
-                                      "0:1:inf"])
+                                      "0:1:inf", "0:1e300:1e-300"])
     def test_non_finite_sweep_range_is_usage_error(self, text, capsys):
         assert run(["sweep", "--family", "amplitude-damping", f"--param-range={text}"]) == 2
         errors = [line for line in capsys.readouterr().err.splitlines()

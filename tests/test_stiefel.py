@@ -5,8 +5,11 @@ import numpy as np
 import pytest
 
 from entlab.breaking import _tail_objective
-from entlab.linalg import DensityMatrix
-from entlab.measures import concurrence, sqrt_three_tangle
+from entlab.channels import SeparableChannel, SeparableKrausOperator, tensor_channels
+from entlab.erf import PENALTY_WEIGHTS, _search_objective
+from entlab.families import random_local_kraus
+from entlab.linalg import DensityMatrix, LocalDims
+from entlab.measures import concurrence, g_concurrence, sqrt_three_tangle
 from entlab.roof import _eigenbasis, _ensemble_objective
 from entlab.sampling import RandomStream, random_density, random_isometry
 from entlab.stiefel import _vdots, minimize_on_stiefel
@@ -48,8 +51,50 @@ def schmidt_tail_case():
     return fun, np.stack([random_isometry(4, 2, RNG.child(2, j)) for j in range(4)]), 60
 
 
+def g_concurrence_case():
+    """The exact G-concurrence roof of a rank-2 3 x 3 state.  The first start
+    has zero members, whose adjugates take the cofactor branch; the others
+    have invertible members, which take the det * inverse branch."""
+    rho = random_density((3, 3), 2, RNG.child(4))
+    fun = _ensemble_objective(g_concurrence(3), _basis(rho))
+    starts = [np.eye(4, 2, dtype=complex)]
+    starts += [random_isometry(4, 2, RNG.child(4, j)) for j in range(4)]
+    return fun, np.stack(starts), 60
+
+
+def erf_case():
+    """The resilience-factor objective, with its separability penalty, on
+    the Choi rows of a tensor product of two qubit channels."""
+    gen = RNG.child(5).generator()
+    channel = tensor_channels([
+        SeparableChannel(LocalDims((2,)), tuple(SeparableKrausOperator((k,))
+                                                 for k in random_local_kraus(2, count, gen)))
+        for count in (2, 3)])
+    ks = channel.joint_ops
+    m = ks.shape[0]
+    fun = _search_objective(ks.reshape(m, 16) / 2.0, channel.dims, PENALTY_WEIGHTS[0])
+    return fun, np.stack([random_isometry(m, m, RNG.child(5, j)) for j in range(4)]), 40
+
+
+def uphill_case():
+    """||V - V0||^2 with a gradient that is the true one plus a fixed small
+    push.  Restart 0 starts at the minimum V0, where every step goes uphill,
+    so it stalls at once; the others descend until the push dominates."""
+    target = np.eye(4, 2, dtype=complex)
+    g = RNG.child(6).generator()
+    push = 1e-3 * (g.standard_normal((4, 2)) + 1j * g.standard_normal((4, 2)))
+
+    def fun(v, need_grad):
+        diff = v - target
+        return _vdots(diff, diff), (2.0 * diff + push if need_grad else None)
+
+    starts = [target] + [random_isometry(4, 2, RNG.child(6, j)) for j in range(3)]
+    return fun, np.stack(starts), 60
+
+
 @pytest.mark.parametrize("case", [separable_concurrence_case, tangle_case,
-                                  schmidt_tail_case])
+                                  schmidt_tail_case, g_concurrence_case, erf_case,
+                                  uphill_case])
 def test_a_stack_runs_as_its_restarts_one_at_a_time(case):
     fun, starts, budget = case()
     stacked = minimize_on_stiefel(fun, starts, max_iterations=budget)
@@ -61,8 +106,10 @@ def test_a_stack_runs_as_its_restarts_one_at_a_time(case):
         assert stacked.restart_iterations[i] == alone.restart_iterations[0]
         assert stacked.histories[i] == alone.histories[0]
     assert stacked.iterations == sum(stacked.restart_iterations)
-    # each returned point realizes its restart's returned (and last) value
-    again, _ = fun(stacked.points, False)
+    # each returned point realizes its restart's returned (and last) value,
+    # as the evaluation with gradient that wrote the history gives it (erf's
+    # value-only path skips the singular vectors and rounds differently)
+    again, _ = fun(stacked.points, True)
     assert tuple(float(x) for x in again) == stacked.values
     assert all(h[-1] == v for h, v in zip(stacked.histories, stacked.values))
 
@@ -77,6 +124,26 @@ def test_a_stationary_start_stops_on_the_gradient_at_once():
     # the other restarts move, and the stack mixes stop reasons
     assert all(len(h) > 1 for h in res.histories[1:])
     assert len(set(res.stop_reasons)) >= 3
+
+
+def test_a_stalled_line_search_costs_few_calls():
+    fun, starts, budget = uphill_case()
+    calls = {True: 0, False: 0}
+
+    def counted(v, need_grad):
+        calls[need_grad] += 1
+        return fun(v, need_grad)
+
+    res = minimize_on_stiefel(counted, starts[:1], max_iterations=budget)
+    assert res.stop_reasons == ("stalled",)
+    assert res.restart_iterations == (1,)
+    assert res.histories == ((0.0,),)
+    # one value call per doubling run of halvings, from step 2 down to MIN_STEP
+    assert calls == {True: 1, False: 5}
+    # in the stack the other restarts accept steps while restart 0 stalls
+    stacked = minimize_on_stiefel(fun, starts, max_iterations=budget)
+    assert stacked.stop_reasons[0] == "stalled"
+    assert all(len(h) > 1 for h in stacked.histories[1:])
 
 
 @pytest.mark.parametrize("shape", [(1, 4, 2), (5, 9, 3), (8, 6, 6)])
