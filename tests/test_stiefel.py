@@ -106,10 +106,14 @@ def test_a_stack_runs_as_its_restarts_one_at_a_time(case):
         assert stacked.restart_iterations[i] == alone.restart_iterations[0]
         assert stacked.histories[i] == alone.histories[0]
     assert stacked.iterations == sum(stacked.restart_iterations)
-    # each returned point realizes its restart's returned (and last) value,
-    # as the evaluation with gradient that wrote the history gives it (erf's
-    # value-only path skips the singular vectors and rounds differently)
-    again, _ = fun(stacked.points, True)
+    # each returned point realizes its restart's returned (and last) value
+    again, _ = fun(stacked.points, False)
+    if case is erf_case:
+        # erf's value-only path takes its singular values without vectors and
+        # rounds differently from the path with gradient that wrote the
+        # history (a FOUND line in CHANGES.md), so it agrees only closely
+        assert np.allclose(again, stacked.values, rtol=1e-13, atol=0.0)
+        again, _ = fun(stacked.points, True)
     assert tuple(float(x) for x in again) == stacked.values
     assert all(h[-1] == v for h, v in zip(stacked.histories, stacked.values))
 
