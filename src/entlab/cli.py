@@ -33,6 +33,8 @@ from .measures import (Measure, concurrence, g_concurrence, measure_pure,
 from .roof import RoofOptions, convex_roof
 from .sampling import RandomStream, random_density, random_pure_state
 
+# the most points a --param-range may ask for, checked before any is built
+MAX_RANGE_POINTS = 100_000
 
 # --- shared helpers ----------------------------------------------------------
 
@@ -55,6 +57,8 @@ def _parse_range(text: str) -> list[float]:
         raise ValueError(f"bad range {text!r}: the point count (stop - start) / step "
                          f"is not finite")
     count = int(round(span)) + 1
+    if count > MAX_RANGE_POINTS:
+        raise ValueError(f"bad range {text!r}: {count} points, more than {MAX_RANGE_POINTS}")
     return [min(lo + i * step, hi) for i in range(count)
             if lo + i * step <= hi + 1e-12]
 

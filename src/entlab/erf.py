@@ -94,10 +94,12 @@ def _split_terms(kt: np.ndarray, dims, grads=None, weight=1.0) -> np.ndarray:
     nearest product (Eckart-Young).  Operators of (numerically) zero norm
     carry no terms.
 
-    Given ``grads``, shaped as ``kt``, the full SVD also gives each term's
-    gradient, and ``weight`` times it is added into ``grads`` cut by cut:
-    accumulated, not returned, since weight*(a+b+c) and weight*a + weight*b
-    + weight*c round differently and the search's gradient is the latter.
+    s1^2 is the top eigenvalue of R~ R~^dag, whose eigenvector u1 also gives,
+    when ``grads`` (shaped as ``kt``) is passed, each term's gradient:
+    ``weight`` times it is added into ``grads`` cut by cut, accumulated,
+    not returned, since weight*(a+b+c) and weight*a + weight*b + weight*c
+    round differently and the search's gradient is the latter.  Both paths
+    take s1^2 from the one eigh call, so they give the same terms.
     """
     norms2 = np.einsum("jab,jab->j", kt, kt.conj()).real
     ok = norms2 >= NORM_ZERO ** 2
@@ -106,19 +108,15 @@ def _split_terms(kt: np.ndarray, dims, grads=None, weight=1.0) -> np.ndarray:
     terms = np.zeros((kt.shape[0], len(cuts)))
     for col, t in enumerate(cuts):
         r = _realign(kt[ok], dims, t)
-        if grads is None:
-            ss = np.linalg.svd(r, compute_uv=False)
-        else:
-            uu, ss, vvh = np.linalg.svd(r, full_matrices=False)
-        s1 = ss[:, 0]
-        # libm's pow, as a numpy scalar's ** 2; x * x differs in the last bit
-        s1_sq = np.float_power(s1, 2.0)
+        lam, u = np.linalg.eigh(r @ r.conj().swapaxes(-1, -2))
+        s1_sq = lam[:, -1]
         terms[ok, col] = 1.0 - s1_sq / norms2_ok
         if grads is not None:
-            # d(s1^2)/dR~ = s1 u1 v1^dag; vvh rows already carry the dagger
-            lead = uu[:, :, 0, None] * vvh[:, None, 0, :]
+            # d(s1^2)/dR~ = s1 u1 v1^dag = u1 u1^dag R~
+            u1 = u[:, :, -1]
+            lead = u1[:, :, None] * (u1.conj()[:, None, :] @ r)
             g_r = (s1_sq / np.float_power(norms2_ok, 2.0))[:, None, None] * r \
-                - (s1 / norms2_ok)[:, None, None] * lead
+                - (1.0 / norms2_ok)[:, None, None] * lead
             grads[ok] += weight * _unrealign(g_r, dims, t)
     return terms
 

@@ -91,31 +91,27 @@ def concurrence() -> Measure:
 
 
 def adjugate(mats: np.ndarray) -> np.ndarray:
-    """Adjugates of an (n, d, d) stack, each with adj(M) @ M = det(M) I.
-
-    Members whose smallest singular value exceeds 1e-8 * max(1, max|M_ij|)
-    use det(M) inv(M); the others use explicit cofactors.
-    """
-    out = np.empty_like(mats)
+    """Adjugates of an (n, d, d) stack, each with adj(M) @ M = det(M) I,
+    from explicit cofactors, so singular members need no other branch."""
     d = mats.shape[-1]
     if d == 2:
+        out = np.empty_like(mats)
         out[:, 0, 0] = mats[:, 1, 1]
         out[:, 1, 1] = mats[:, 0, 0]
         out[:, 0, 1] = -mats[:, 0, 1]
         out[:, 1, 0] = -mats[:, 1, 0]
         return out
-    dets = np.linalg.det(mats)
-    smin = np.linalg.svd(mats, compute_uv=False)[:, -1]
-    good = smin > 1e-8 * np.maximum(1.0, np.abs(mats).max(axis=(1, 2)))
-    out[good] = dets[good, None, None] * np.linalg.inv(mats[good])
-    if not good.all():
-        # keep[i] lists every index but i; minors[k, i, j] drops row i and
-        # column j of member k, and adj(M)[j, i] is its signed determinant
-        keep = np.array([[c for c in range(d) if c != i] for i in range(d)])
-        minors = mats[~good][:, keep[:, None, :, None], keep[None, :, None, :]]
-        sign = (-1) ** np.add.outer(np.arange(d), np.arange(d))
-        out[~good] = (sign * np.linalg.det(minors)).transpose(0, 2, 1)
-    return out
+    # keep[i] lists every index but i; minors[k, i, j] drops row i and
+    # column j of member k, and adj(M)[j, i] is its signed determinant
+    keep = np.array([[c for c in range(d) if c != i] for i in range(d)])
+    minors = mats[:, keep[:, None, :, None], keep[None, :, None, :]]
+    if d == 3:
+        # 2 x 2 minors in closed form, cheaper than LAPACK's det per minor
+        dets = minors[..., 0, 0] * minors[..., 1, 1] - minors[..., 0, 1] * minors[..., 1, 0]
+    else:
+        dets = np.linalg.det(minors)
+    sign = (-1) ** np.add.outer(np.arange(d), np.arange(d))
+    return (sign * dets).transpose(0, 2, 1)
 
 
 def g_concurrence(d: int) -> Measure:

@@ -14,7 +14,6 @@ from dataclasses import dataclass
 import numpy as np
 
 from .linalg import DensityMatrix, PureState, _as_local_dims
-from .stiefel import qf_retract
 
 SL_MIN_SINGULAR_VALUE = 1e-6
 SL_MAX_REDRAWS = 100
@@ -55,11 +54,19 @@ def ginibre(rows: int, cols: int, rng) -> np.ndarray:
     return (g.standard_normal((rows, cols)) + 1j * g.standard_normal((rows, cols))) / math.sqrt(2.0)
 
 
+def _haar_q(a: np.ndarray) -> np.ndarray:
+    """Householder QR's Q, with R's diagonal made positive: Haar for a Ginibre draw."""
+    q, r = np.linalg.qr(a)
+    diag = np.diagonal(r, axis1=-2, axis2=-1).copy()
+    diag[np.abs(diag) < 1e-300] = 1.0
+    return q * (diag / np.abs(diag))[..., None, :]
+
+
 def random_haar_unitary(d: int, rng) -> np.ndarray:
     """Haar-distributed d x d unitary (QR of a Ginibre draw, phase-fixed)."""
     if d < 1:
         raise ValueError("dimension must be >= 1")
-    return qf_retract(ginibre(d, d, rng))
+    return _haar_q(ginibre(d, d, rng))
 
 
 def random_sl(d: int, rng) -> np.ndarray:
@@ -106,4 +113,4 @@ def random_isometry(rows: int, cols: int, rng) -> np.ndarray:
     """Haar-random isometry with orthonormal columns (rows >= cols)."""
     if rows < cols:
         raise ValueError("isometry needs rows >= cols")
-    return qf_retract(ginibre(rows, cols, rng))
+    return _haar_q(ginibre(rows, cols, rng))

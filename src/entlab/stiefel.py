@@ -1,10 +1,10 @@
 """Gradient descent on the complex Stiefel manifold of isometries.
 
 Shared by the convex-roof solver, the Kraus-mixing search and the Schmidt
-number search.  Retraction is sign-fixed QR; gradients are Euclidean
-conjugate-Wirtinger gradients projected onto the tangent space; trial steps
-use the Barzilai-Borwein spectral length safeguarded by a monotone Armijo
-backtracking line search.
+number search.  Retraction is the Q factor of QR, taken by Cholesky-QR;
+gradients are Euclidean conjugate-Wirtinger gradients projected onto the
+tangent space; trial steps use the Barzilai-Borwein spectral length
+safeguarded by a monotone Armijo backtracking line search.
 
 Every function here works on an (R, m, r) stack of R independent restarts,
 one m x r isometry each.  Per step, the descent makes one gradient call on
@@ -29,6 +29,7 @@ MIN_STEP = 1e-14
 MAX_STEP = 1e3
 PLATEAU_WINDOW = 40
 PLATEAU_REL = 1e-11
+REPASS_NORM2 = 4.0
 
 
 def _dagger(a: np.ndarray) -> np.ndarray:
@@ -42,12 +43,20 @@ def _vdots(a: np.ndarray, b: np.ndarray) -> np.ndarray:
 
 
 def qf_retract(a: np.ndarray) -> np.ndarray:
-    """Q factors of the QR decompositions of a stack, with positive real
-    diagonal of R."""
-    q, r = np.linalg.qr(a)
-    diag = np.diagonal(r, axis1=-2, axis2=-1).copy()
-    diag[np.abs(diag) < 1e-300] = 1.0
-    return q * (diag / np.abs(diag))[..., None, :]
+    """Q factors, with positive real diagonal of R, of the QR decompositions
+    of a stack of trial points A = V - tG: A L^-dag for L = chol(A^dag A).
+
+    One pass loses about eps * cond(A)^2 of orthogonality; for V an isometry
+    and G tangent, cond(A)^2 <= 1 + r (c - 1) for c the largest column norm^2
+    of A, the largest entry of Re A^dag A.  Members with c > ``REPASS_NORM2``
+    are retracted again from their first Q, whose unit columns need one pass.
+    """
+    gram = _dagger(a) @ a
+    q = a @ _dagger(np.linalg.inv(np.linalg.cholesky(gram)))
+    if gram.real.max() > REPASS_NORM2:
+        again = gram.real.max(axis=(-2, -1)) > REPASS_NORM2
+        q[again] = qf_retract(q[again])
+    return q
 
 
 def project_tangent(v: np.ndarray, g: np.ndarray) -> np.ndarray:

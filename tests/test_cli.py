@@ -7,6 +7,7 @@ import numpy as np
 import pytest
 
 from entlab.channels import channel_to_json, state_from_json, state_to_json
+from entlab import cli
 from entlab.cli import main
 from entlab.families import bell_state, bit_flip_correlated, werner_state
 
@@ -163,6 +164,20 @@ class TestExitCodes:
         errors = [line for line in capsys.readouterr().err.splitlines()
                   if line.startswith("entlab: ")]
         assert len(errors) == 1 and repr(text) in errors[0]
+
+    def test_vast_sweep_range_is_refused_before_its_points_are_built(self, monkeypatch,
+                                                                        capsys):
+        def no_range(*args):
+            raise AssertionError("the point list was built")
+
+        # 10^18 points: module globals shadow builtins, so building them fails
+        monkeypatch.setattr(cli, "range", no_range, raising=False)
+        text = "0:1e9:1e-9"
+        assert run(["sweep", "--family", "amplitude-damping", f"--param-range={text}"]) == 2
+        errors = [line for line in capsys.readouterr().err.splitlines()
+                  if line.startswith("entlab: ")]
+        assert len(errors) == 1 and repr(text) in errors[0]
+        assert str(cli.MAX_RANGE_POINTS) in errors[0]
 
     def test_malformed_pure_state_entry_is_usage_error(self, bitflip_file, tmp_path):
         path = tmp_path / "bad_state.json"

