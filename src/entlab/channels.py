@@ -19,8 +19,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .linalg import (DensityMatrix, LocalDims, PureState, _as_local_dims,
-                     as_complex_matrix, kron_all)
-from .measures import Measure, measure_pure, measure_unnormalized
+                     _vdots, as_complex_matrix, kron_all)
+from .measures import Measure, _value_of_poly, measure_pure
 from .roof import convex_roof
 
 CLOSURE_TOL = 1e-10
@@ -85,10 +85,20 @@ class SeparableChannel:
                     f"Kraus operator {m} has factor dimensions {op.dims}, "
                     f"channel dims are {dims.dims}"
                 )
-        joints = np.stack([op.joint() for op in ops])
-        joints.setflags(write=False)
+        # one (M, d_i, d_i) stack per party; the joint stack is their
+        # left-to-right Kronecker product member by member, as kron_all gives it
+        factors = tuple(np.stack([op.factors[i] for op in ops])
+                        for i in range(dims.n_parties))
+        joints = factors[0]
+        for f in factors[1:]:
+            size = joints.shape[-1] * f.shape[-1]
+            joints = (joints[:, :, None, :, None]
+                      * f[:, None, :, None, :]).reshape(len(ops), size, size)
+        for a in factors + (joints,):
+            a.setflags(write=False)
         object.__setattr__(self, "dims", dims)
         object.__setattr__(self, "ops", ops)
+        object.__setattr__(self, "_factors", factors)
         object.__setattr__(self, "_joints", joints)
 
     @property
@@ -203,9 +213,23 @@ def outcomes(channel: SeparableChannel, rho: DensityMatrix) -> OutcomeEnsemble:
     return OutcomeEnsemble(tuple(outs))
 
 
+def _det_weights(channel: SeparableChannel) -> list:
+    """Each operator's det_weight, from one stacked det per party.  The
+    power and the product stay scalar operations in det_weight's order:
+    numpy's array power rounds differently from its scalar one."""
+    dets = [(np.linalg.det(f), 2.0 / f.shape[-1]) for f in channel._factors]
+    weights = []
+    for m in range(len(channel.ops)):
+        w = 1.0
+        for det, power in dets:
+            w *= abs(det[m]) ** power
+        weights.append(w)
+    return weights
+
+
 def decay_factor(channel: SeparableChannel) -> float:
     """sum_m prod_i |det K_m^(i)|**(2/d_i) for this representation."""
-    return _running_sum(op.det_weight() for op in channel.ops)
+    return _running_sum(_det_weights(channel))
 
 
 def _mixed_entanglement(measure: Measure, rho: DensityMatrix):
@@ -242,13 +266,15 @@ def verify_evolution(channel: SeparableChannel, rho,
             "nonzero input value"
         )
 
-    values = []
     if pure:
-        for joint in channel.joint_ops:
-            branch = PureState(joint @ rho.amps, rho.dims)
-            values.append(measure_unnormalized(measure, branch)
-                          if branch.weight > NULL_OUTCOME_TOL else 0.0)
+        branches = channel.joint_ops @ rho.amps
+        if not np.all(np.isfinite(branches)):
+            raise ValueError("amplitudes must be finite")
+        live = _vdots(branches, branches) > NULL_OUTCOME_TOL
+        values = [_value_of_poly(measure, f) if keep else 0.0
+                  for f, keep in zip(measure.eval_poly_batch(branches), live)]
     else:
+        values = []
         for outcome in outcomes(channel, rho).outcomes:
             if outcome.state is None:
                 values.append(0.0)
@@ -257,7 +283,7 @@ def verify_evolution(channel: SeparableChannel, rho,
             exact = exact and branch_exact
             values.append(outcome.probability * value)
     total = _running_sum(values)
-    weights = [op.det_weight() for op in channel.ops]
+    weights = _det_weights(channel)
     decay = _running_sum(weights)
     return EvolutionReport(
         decay=decay,

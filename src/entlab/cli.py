@@ -8,11 +8,16 @@ records for plotting.  Exit codes: 0 all checks pass, 1 invariant violation
 (report still written), 2 usage or domain error, 3 I/O error, 4 a search or
 sampler gave up (no entangled input, a Kraus mixing that left the channel,
 or exhausted redraws).
+
+``main`` builds its parser once per process and reuses it on every later
+call, which saves in-process callers (tests, the benchmark, scripts that
+drive ``main``) about 2 ms a call; a shell command parses once either way.
 """
 
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import sys
 import time
@@ -20,7 +25,7 @@ import time
 import numpy as np
 
 from . import __version__
-from .breaking import eb_threshold_scan, r_peb_test
+from .breaking import PPT_EIGENVALUE_TOL, eb_threshold_scan, r_peb_test
 from .channels import (SeparableChannel, channel_from_json, decay_factor,
                        is_random_unitary, state_from_json, validate,
                        verify_evolution)
@@ -318,8 +323,12 @@ def cmd_breaking(args):
         scan = eb_threshold_scan(family, args.r, lo, hi,
                                  tol=args.bisect_tol, seed=args.seed)
         records = [{"param": p, "breaking": f} for p, f in scan.grid]
+        # the verdicts accept partial-transpose eigenvalues down to
+        # -verdict_tolerance, so a bracket narrower than it is no sharper
         summary = {
             "threshold": scan.threshold,
+            "bracket": list(scan.bracket) if scan.bracket is not None else None,
+            "verdict_tolerance": -PPT_EIGENVALUE_TOL,
             "never_breaking": scan.never_breaking,
             "always_breaking": scan.always_breaking,
             "pass": True,
@@ -367,7 +376,11 @@ def cmd_sweep(args):
 
 # --- argument parsing ---------------------------------------------------------
 
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
+    """The command-line parser, built on first use and shared by every later
+    call in the process: nothing mutates it, and each ``parse_args`` returns
+    a fresh namespace."""
     parser = argparse.ArgumentParser(
         prog="entlab",
         description="Entanglement evolution under separable operations: "

@@ -90,10 +90,25 @@ def concurrence() -> Measure:
                    exact_mixed=lambda rho: wootters_concurrence(rho))
 
 
+# from this size on, one batched SVD costs less than the d^2 minor dets
+SVD_ADJUGATE_DIM = 5
+
+
 def adjugate(mats: np.ndarray) -> np.ndarray:
-    """Adjugates of an (n, d, d) stack, each with adj(M) @ M = det(M) I,
-    from explicit cofactors, so singular members need no other branch."""
+    """Adjugates of an (n, d, d) stack, each with adj(M) @ M = det(M) I.
+
+    Below ``SVD_ADJUGATE_DIM`` they come from explicit cofactors; from it on,
+    from M = U S V^dag as adj(M) = det(V^dag) V diag(prod_{j != i} s_j)
+    det(U) U^dag.  Neither divides by det(M), so singular members need no
+    other branch.
+    """
     d = mats.shape[-1]
+    if d >= SVD_ADJUGATE_DIM:
+        u, s, vh = np.linalg.svd(mats)
+        others = np.where(np.eye(d, dtype=bool), 1.0, s[:, None, :]).prod(axis=-1)
+        phase = np.linalg.det(u @ vh)
+        v = vh.conj().swapaxes(-1, -2)
+        return (v * (others * phase[:, None])[:, None, :]) @ u.conj().swapaxes(-1, -2)
     if d == 2:
         out = np.empty_like(mats)
         out[:, 0, 0] = mats[:, 1, 1]
@@ -222,9 +237,13 @@ def polynomial_measure(poly, degree: int, dims, grad=None,
                    poly_batch=poly_batch, poly_grad_batch=grad_batch)
 
 
+def _value_of_poly(measure: Measure, f) -> float:
+    """scale * |f|**(2/degree) for one polynomial value, in Python scalars."""
+    return measure.scale * abs(complex(f)) ** (2.0 / measure.degree)
+
+
 def _value_of_row(measure: Measure, amps: np.ndarray) -> float:
-    f = complex(measure.poly_batch(amps[None, :])[0])
-    return measure.scale * abs(f) ** (2.0 / measure.degree)
+    return _value_of_poly(measure, measure.poly_batch(amps[None, :])[0])
 
 
 def measure_pure(measure: Measure, psi: PureState) -> float:

@@ -24,6 +24,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .linalg import _vdots
+
 ARMIJO_C = 1e-4
 MIN_STEP = 1e-14
 MAX_STEP = 1e3
@@ -34,12 +36,6 @@ REPASS_NORM2 = 4.0
 
 def _dagger(a: np.ndarray) -> np.ndarray:
     return a.conj().swapaxes(-1, -2)
-
-
-def _vdots(a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    """Re <a_i, b_i> per member of two stacks, bitwise as np.vdot gives it."""
-    n = a.shape[0]
-    return (a.conj().reshape(n, 1, -1) @ b.reshape(n, -1, 1))[:, 0, 0].real
 
 
 def qf_retract(a: np.ndarray) -> np.ndarray:

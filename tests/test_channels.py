@@ -11,8 +11,10 @@ from entlab.channels import (SeparableChannel, SeparableKrausOperator, apply,
                              decay_factor, embed_one_sided, is_random_unitary,
                              outcomes, tensor_channels, validate,
                              verify_evolution)
-from entlab.linalg import DensityMatrix, LocalDims, PureState
-from entlab.measures import concurrence, sqrt_three_tangle, wootters_concurrence
+from entlab.linalg import DensityMatrix, LocalDims, PureState, kron_all
+from entlab.measures import (concurrence, g_concurrence, measure_pure,
+                             measure_unnormalized, sqrt_three_tangle,
+                             wootters_concurrence)
 from entlab.families import (amplitude_damping_kraus, bell_state,
                              bit_flip_correlated, ghz_state, identity_channel,
                              random_local_kraus, random_separable_channel,
@@ -234,6 +236,97 @@ class TestVerifyEvolution:
     def test_decay_within_unit_interval(self):
         rep = verify_evolution(bit_flip_correlated(0.5), bell_state(), concurrence())
         assert 0.0 <= rep.decay <= 1.0 + 1e-10
+
+
+def hexes(values):
+    return [float(v).hex() for v in values]
+
+
+def loop_verify(channel, psi, measure):
+    """verify_evolution on a pure input, one branch and one operator at a
+    time: the reference its stacked evaluation must reproduce bitwise."""
+    e_in = measure_pure(measure, psi)
+    values = []
+    for joint in channel.joint_ops:
+        branch = PureState(joint @ psi.amps, psi.dims)
+        values.append(measure_unnormalized(measure, branch)
+                      if branch.weight > 1e-12 else 0.0)
+    weights = [op.det_weight() for op in channel.ops]
+    total = decay = 0.0
+    for v, w in zip(values, weights):
+        total += v
+        decay += w
+    residuals = [abs(v - w * e_in) for w, v in zip(weights, values)]
+    return decay, residuals, abs(total - decay * e_in), total
+
+
+class TestStackedEvaluation:
+    """Joint operators, det weights and pure branches are evaluated as one
+    stack per party or per call, bitwise equal to the per-operator loops."""
+
+    KINDS = ((concurrence, (2, 2)), (sqrt_three_tangle, (2, 2, 2)),
+             (lambda: g_concurrence(3), (3, 3)))
+
+    @pytest.mark.parametrize("dims", [(3,), (2, 2), (3, 2), (2, 2, 2), (2, 3, 2)])
+    def test_joint_ops_equal_the_kron_all_stack(self, dims):
+        for i in range(20):
+            g = RNG.child(20, len(dims), i).generator()
+            ch = random_separable_channel(dims, int(g.integers(1, 7)), g)
+            loop = np.stack([kron_all(op.factors) for op in ch.ops])
+            assert np.array_equal(ch.joint_ops, loop)
+            assert ch.joint_ops.tobytes() == loop.tobytes()
+
+    def test_singular_factors_keep_the_kron_all_stack(self):
+        g = RNG.child(21).generator()
+        factors = [(random_haar_unitary(2, g), np.zeros((2, 2))),
+                   (np.outer([1.0, 2.0j], [0.5, -1.0]), random_haar_unitary(2, g)),
+                   (np.diag([1e-7, 0.0]), np.diag([3.0, 1e-9]))]
+        ch = SeparableChannel((2, 2), tuple(SeparableKrausOperator(f) for f in factors))
+        loop = np.stack([kron_all(f) for f in factors])
+        assert ch.joint_ops.tobytes() == loop.tobytes()
+
+    @pytest.mark.parametrize("dims", [(3,), (2, 2), (2, 2, 2), (3, 3)])
+    def test_decay_factor_equals_the_operator_loop(self, dims):
+        for i in range(20):
+            g = RNG.child(22, len(dims), i).generator()
+            ch = random_separable_channel(dims, int(g.integers(1, 7)), g)
+            loop = 0.0
+            for op in ch.ops:
+                loop += op.det_weight()
+            assert decay_factor(ch).hex() == loop.hex()
+
+    @pytest.mark.parametrize("kind", range(3), ids=["concurrence", "tangle", "gconc3"])
+    def test_pure_verify_equals_the_branch_loop(self, kind):
+        factory, dims = self.KINDS[kind]
+        measure = factory()
+        for i in range(20):
+            g = RNG.child(23, kind, i).generator()
+            ch = random_separable_channel(dims, int(g.integers(1, 7)), g)
+            if i % 4 == 0:
+                # a zero branch and one of weight 1e-14, both valued 0
+                ops = list(ch.ops)
+                ops[0] = SeparableKrausOperator(
+                    (np.zeros((dims[0], dims[0])),) + ops[0].factors[1:])
+                ops.append(SeparableKrausOperator(
+                    tuple(1e-7 ** (1.0 / len(dims)) * np.eye(d) for d in dims)))
+                ch = SeparableChannel(dims, tuple(ops))
+            while True:
+                psi = random_pure_state(dims, g)
+                if measure_pure(measure, psi) > 1e-3:
+                    break
+            rep = verify_evolution(ch, psi, measure)
+            decay, residuals, aggregate, total = loop_verify(ch, psi, measure)
+            assert rep.decay.hex() == decay.hex()
+            assert hexes(rep.per_outcome_residuals) == hexes(residuals)
+            assert rep.aggregate_residual.hex() == aggregate.hex()
+            assert rep.average_output_entanglement.hex() == total.hex()
+
+    def test_non_finite_branch_still_raises(self):
+        huge = 1e200 * np.eye(2)
+        with np.errstate(over="ignore", invalid="ignore"):
+            ch = SeparableChannel((2, 2), (SeparableKrausOperator((huge, huge)),))
+            with pytest.raises(ValueError, match="amplitudes must be finite"):
+                verify_evolution(ch, bell_state(), concurrence())
 
 
 class TestRandomUnitaryDetection:

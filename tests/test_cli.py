@@ -2,6 +2,9 @@
 
 import json
 import math
+import os
+import subprocess
+import sys
 
 import numpy as np
 import pytest
@@ -194,6 +197,24 @@ class TestDeterminism:
         assert run(args + ["--out", str(b)]) == 0
         assert a.read_bytes() == b.read_bytes()
 
+    def test_a_shared_parser_writes_what_fresh_interpreters_write(self, tmp_path):
+        # roof rewrites its namespace's dims; the verify run after it must
+        # still read the parser's own defaults
+        commands = [["roof", "--state-family", "ghz", "--measure", "sqrt_three_tangle",
+                     "--restarts", "2", "--max-iterations", "40", "--seed", "5"],
+                    ["verify", "--random-channel", "--trials", "3", "--seed", "9"]]
+        assert cli.build_parser() is cli.build_parser()
+        src = os.path.dirname(os.path.dirname(os.path.abspath(cli.__file__)))
+        env = dict(os.environ, PYTHONPATH=src)
+        for j, argv in enumerate(commands):
+            shared, fresh = tmp_path / f"shared-{j}.json", tmp_path / f"fresh-{j}.json"
+            assert run(argv + ["--out", str(shared)]) == 0
+            done = subprocess.run([sys.executable, "-m", "entlab.cli", *argv,
+                                   "--out", str(fresh)], env=env, capture_output=True,
+                                  timeout=120)
+            assert done.returncode == 0, done.stderr
+            assert shared.read_bytes() == fresh.read_bytes()
+
     def test_different_seeds_differ(self, tmp_path):
         a, b = tmp_path / "a.json", tmp_path / "b.json"
         run(["verify", "--random-channel", "--trials", "5", "--seed", "1",
@@ -256,6 +277,26 @@ class TestOtherCommands:
         assert code == 0
         s = read_report(out)["summary"]
         assert abs(s["threshold"] - 2.0 / 3.0) < 1e-3
+
+    def test_bisection_bracket_is_reported_with_the_verdict_tolerance(self, tmp_path):
+        # bisected to the float spacing, the bracket is narrower than the
+        # partial-transpose tolerance its verdicts allow
+        out = tmp_path / "b.json"
+        assert run(["breaking", "--family", "depolarizing", "--bisect",
+                    "--bisect-tol", "1e-20", "--out", str(out)]) == 0
+        s = read_report(out)["summary"]
+        a, b = s["bracket"]
+        assert a < b and a <= s["threshold"] <= b
+        assert s["verdict_tolerance"] == 1e-10
+        assert b - a < s["verdict_tolerance"]
+        assert abs(s["threshold"] - 2.0 / 3.0) < 1e-9
+
+    def test_bisection_without_a_crossing_has_no_bracket(self, tmp_path):
+        out = tmp_path / "b.json"
+        assert run(["breaking", "--family", "identity", "--bisect",
+                    "--out", str(out)]) == 0
+        s = read_report(out)["summary"]
+        assert s["never_breaking"] and s["bracket"] is None
 
     def test_sweep_amplitude_damping_decay_column(self, tmp_path):
         out = tmp_path / "s.json"

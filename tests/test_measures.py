@@ -167,6 +167,17 @@ class TestAdjugate:
         assert np.abs(adj[1]).max() > 1e-3  # rank d - 1 keeps a nonzero adjugate
         assert np.abs(adj[3]).max() < 1e-10
 
+    @pytest.mark.parametrize("d", [4, 5, 8])
+    def test_cofactor_reference_within_relative_1e_12(self, d):
+        # d = 4 takes the cofactors, d >= 5 the SVD
+        g = RNG.child(14, d).generator()
+        mats = g.standard_normal((6, d, d)) + 1j * g.standard_normal((6, d, d))
+        for k in (1, 4):                                    # rank d - 1
+            mats[k, -1] = mats[k, 0] - (0.5 + 1.5j) * mats[k, 1]
+        for m, a in zip(mats, adjugate(mats)):
+            ref = self.cofactor_adjugate(m)
+            assert np.abs(a - ref).max() <= 1e-12 * np.abs(ref).max()
+
 
 class TestHomogeneity:
     def test_scaled_bell_state(self):
