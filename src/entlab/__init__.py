@@ -21,9 +21,9 @@ from .channels import (ChannelDiagnostics, EvolutionReport, Outcome,
                        OutcomeEnsemble, SeparableChannel,
                        SeparableKrausOperator, apply, apply_kraus,
                        channel_from_json, channel_to_json, decay_factor,
-                       embed_one_sided, is_random_unitary, outcomes,
-                       state_from_json, state_to_json, tensor_channels,
-                       validate, verify_evolution)
+                       det_weights, embed_one_sided, is_random_unitary,
+                       outcomes, state_from_json, state_to_json,
+                       tensor_channels, validate, verify_evolution)
 from .erf import (ErfBounds, ErfEstimate, MixingSearchOptions,
                   TensorBoundReport, erf_bounds, erf_minimize,
                   tensor_bound_check)

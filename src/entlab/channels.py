@@ -29,6 +29,15 @@ MIN_INPUT_ENTANGLEMENT = 1e-8
 RANDOM_UNITARY_TOL = 1e-10
 
 
+def _weight_of_dets(dets, dims) -> float:
+    """prod_i |det_i|**(2/d_i) as numpy scalar operations in party order:
+    numpy's array power rounds differently from its scalar one."""
+    w = 1.0
+    for det, d in zip(dets, dims):
+        w *= abs(det) ** (2.0 / d)
+    return w
+
+
 @dataclass(frozen=True)
 class SeparableKrausOperator:
     """One Kraus operator stored as an n-tuple of square local factors."""
@@ -56,10 +65,7 @@ class SeparableKrausOperator:
 
     def det_weight(self) -> float:
         """prod_i |det factor_i|**(2/d_i), the operator's decay weight."""
-        w = 1.0
-        for f in self.factors:
-            w *= abs(np.linalg.det(f)) ** (2.0 / f.shape[0])
-        return w
+        return _weight_of_dets([np.linalg.det(f) for f in self.factors], self.dims)
 
 
 @dataclass(frozen=True)
@@ -213,23 +219,16 @@ def outcomes(channel: SeparableChannel, rho: DensityMatrix) -> OutcomeEnsemble:
     return OutcomeEnsemble(tuple(outs))
 
 
-def _det_weights(channel: SeparableChannel) -> list:
-    """Each operator's det_weight, from one stacked det per party.  The
-    power and the product stay scalar operations in det_weight's order:
-    numpy's array power rounds differently from its scalar one."""
-    dets = [(np.linalg.det(f), 2.0 / f.shape[-1]) for f in channel._factors]
-    weights = []
-    for m in range(len(channel.ops)):
-        w = 1.0
-        for det, power in dets:
-            w *= abs(det[m]) ** power
-        weights.append(w)
-    return weights
+def det_weights(channel: SeparableChannel) -> list:
+    """Each operator's :meth:`~SeparableKrausOperator.det_weight`, from one
+    stacked det per party."""
+    dets = [np.linalg.det(f) for f in channel._factors]
+    return [_weight_of_dets(row, channel.dims.dims) for row in zip(*dets)]
 
 
 def decay_factor(channel: SeparableChannel) -> float:
     """sum_m prod_i |det K_m^(i)|**(2/d_i) for this representation."""
-    return _running_sum(_det_weights(channel))
+    return _running_sum(det_weights(channel))
 
 
 def _mixed_entanglement(measure: Measure, rho: DensityMatrix):
@@ -283,7 +282,7 @@ def verify_evolution(channel: SeparableChannel, rho,
             exact = exact and branch_exact
             values.append(outcome.probability * value)
     total = _running_sum(values)
-    weights = _det_weights(channel)
+    weights = det_weights(channel)
     decay = _running_sum(weights)
     return EvolutionReport(
         decay=decay,

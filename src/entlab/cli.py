@@ -26,9 +26,9 @@ import numpy as np
 
 from . import __version__
 from .breaking import PPT_EIGENVALUE_TOL, eb_threshold_scan, r_peb_test
-from .channels import (SeparableChannel, channel_from_json, decay_factor,
-                       is_random_unitary, state_from_json, validate,
-                       verify_evolution)
+from .channels import (SeparableChannel, _running_sum, channel_from_json,
+                       decay_factor, det_weights, is_random_unitary,
+                       state_from_json, validate, verify_evolution)
 from .erf import MixingSearchOptions, erf_bounds, erf_minimize
 from .families import (CHANNEL_FAMILIES, LOCAL_FAMILIES, STATE_FAMILIES,
                        random_separable_channel)
@@ -225,12 +225,13 @@ def cmd_decay(args):
     if channel is None:
         raise ValueError("decay needs --channel or --family")
     diag = validate(channel)
+    weights = det_weights(channel)
     records = [{
         "op": m,
         "label": op.label or "",
-        "det_weight": float(op.det_weight()),
-    } for m, op in enumerate(channel.ops)]
-    value = decay_factor(channel)
+        "det_weight": float(w),
+    } for m, (op, w) in enumerate(zip(channel.ops, weights))]
+    value = _running_sum(weights)
     ok = diag.ok and value <= 1.0 + 1e-10
     summary = {
         "decay": float(value),
@@ -323,8 +324,10 @@ def cmd_breaking(args):
         scan = eb_threshold_scan(family, args.r, lo, hi,
                                  tol=args.bisect_tol, seed=args.seed)
         records = [{"param": p, "breaking": f} for p, f in scan.grid]
-        # the verdicts accept partial-transpose eigenvalues down to
-        # -verdict_tolerance, so a bracket narrower than it is no sharper
+        # verdict_tolerance bounds partial-transpose eigenvalues, not the
+        # parameter: a verdict accepts eigenvalues down to minus it, so the
+        # bracket is only as sharp as that tolerance over the eigenvalue's
+        # slope in the parameter, which depends on the family
         summary = {
             "threshold": scan.threshold,
             "bracket": list(scan.bracket) if scan.bracket is not None else None,

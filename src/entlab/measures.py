@@ -90,25 +90,10 @@ def concurrence() -> Measure:
                    exact_mixed=lambda rho: wootters_concurrence(rho))
 
 
-# from this size on, one batched SVD costs less than the d^2 minor dets
-SVD_ADJUGATE_DIM = 5
-
-
 def adjugate(mats: np.ndarray) -> np.ndarray:
-    """Adjugates of an (n, d, d) stack, each with adj(M) @ M = det(M) I.
-
-    Below ``SVD_ADJUGATE_DIM`` they come from explicit cofactors; from it on,
-    from M = U S V^dag as adj(M) = det(V^dag) V diag(prod_{j != i} s_j)
-    det(U) U^dag.  Neither divides by det(M), so singular members need no
-    other branch.
-    """
+    """Adjugates of an (n, d, d) stack, each with adj(M) @ M = det(M) I,
+    from explicit cofactors, so singular members need no other branch."""
     d = mats.shape[-1]
-    if d >= SVD_ADJUGATE_DIM:
-        u, s, vh = np.linalg.svd(mats)
-        others = np.where(np.eye(d, dtype=bool), 1.0, s[:, None, :]).prod(axis=-1)
-        phase = np.linalg.det(u @ vh)
-        v = vh.conj().swapaxes(-1, -2)
-        return (v * (others * phase[:, None])[:, None, :]) @ u.conj().swapaxes(-1, -2)
     if d == 2:
         out = np.empty_like(mats)
         out[:, 0, 0] = mats[:, 1, 1]

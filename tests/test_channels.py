@@ -8,9 +8,9 @@ import pytest
 
 from entlab.channels import (SeparableChannel, SeparableKrausOperator, apply,
                              apply_kraus, channel_from_json, channel_to_json,
-                             decay_factor, embed_one_sided, is_random_unitary,
-                             outcomes, tensor_channels, validate,
-                             verify_evolution)
+                             decay_factor, det_weights, embed_one_sided,
+                             is_random_unitary, outcomes, tensor_channels,
+                             validate, verify_evolution)
 from entlab.linalg import DensityMatrix, LocalDims, PureState, kron_all
 from entlab.measures import (concurrence, g_concurrence, measure_pure,
                              measure_unnormalized, sqrt_three_tangle,
@@ -290,9 +290,11 @@ class TestStackedEvaluation:
         for i in range(20):
             g = RNG.child(22, len(dims), i).generator()
             ch = random_separable_channel(dims, int(g.integers(1, 7)), g)
+            weights = [op.det_weight() for op in ch.ops]
+            assert hexes(det_weights(ch)) == hexes(weights)
             loop = 0.0
-            for op in ch.ops:
-                loop += op.det_weight()
+            for w in weights:
+                loop += w
             assert decay_factor(ch).hex() == loop.hex()
 
     @pytest.mark.parametrize("kind", range(3), ids=["concurrence", "tangle", "gconc3"])

@@ -167,9 +167,8 @@ class TestAdjugate:
         assert np.abs(adj[1]).max() > 1e-3  # rank d - 1 keeps a nonzero adjugate
         assert np.abs(adj[3]).max() < 1e-10
 
-    @pytest.mark.parametrize("d", [4, 5, 8])
+    @pytest.mark.parametrize("d", [4, 8])
     def test_cofactor_reference_within_relative_1e_12(self, d):
-        # d = 4 takes the cofactors, d >= 5 the SVD
         g = RNG.child(14, d).generator()
         mats = g.standard_normal((6, d, d)) + 1j * g.standard_normal((6, d, d))
         for k in (1, 4):                                    # rank d - 1
