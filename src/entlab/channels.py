@@ -19,7 +19,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .linalg import (DensityMatrix, LocalDims, PureState, _as_local_dims,
-                     _vdots, as_complex_matrix, kron_all)
+                     _kron_stacks, _vdots, as_complex_matrix, kron_all)
 from .measures import Measure, _value_of_poly, measure_pure
 from .roof import convex_roof
 
@@ -75,6 +75,11 @@ class SeparableChannel:
     Construction checks structure (factor counts and shapes); the closure
     condition is checked by :func:`validate`, so intentionally broken
     channels can still be built and diagnosed.
+
+    Construction also stacks each party's factors once, as a read-only
+    (M, d_i, d_i) array in the private ``_factors`` tuple.  These stacks are
+    the one source for the joint operators, :func:`det_weights`,
+    :func:`is_random_unitary` and the resilience factor's rank test.
     """
 
     dims: LocalDims
@@ -95,11 +100,7 @@ class SeparableChannel:
         # left-to-right Kronecker product member by member, as kron_all gives it
         factors = tuple(np.stack([op.factors[i] for op in ops])
                         for i in range(dims.n_parties))
-        joints = factors[0]
-        for f in factors[1:]:
-            size = joints.shape[-1] * f.shape[-1]
-            joints = (joints[:, :, None, :, None]
-                      * f[:, None, :, None, :]).reshape(len(ops), size, size)
+        joints = _kron_stacks(factors)
         for a in factors + (joints,):
             a.setflags(write=False)
         object.__setattr__(self, "dims", dims)
@@ -298,15 +299,15 @@ def verify_evolution(channel: SeparableChannel, rho,
 def is_random_unitary(channel: SeparableChannel) -> bool:
     """True iff every local factor K satisfies K^dag K = c I with c > 0,
     within 1e-10 * max(1, c) in Frobenius norm."""
-    for op in channel.ops:
-        for f in op.factors:
-            d = f.shape[0]
-            a = f.conj().T @ f
-            c = float(np.trace(a).real) / d
-            if c <= 0.0:
-                return False
-            if np.linalg.norm(a - c * np.eye(d)) > RANDOM_UNITARY_TOL * max(1.0, c):
-                return False
+    for f in channel._factors:
+        d = f.shape[-1]
+        a = f.conj().swapaxes(-1, -2) @ f
+        c = np.trace(a, axis1=-2, axis2=-1).real / d
+        if np.any(c <= 0.0):
+            return False
+        residual = np.linalg.norm(a - c[:, None, None] * np.eye(d), axis=(-2, -1))
+        if np.any(residual > RANDOM_UNITARY_TOL * np.maximum(1.0, c)):
+            return False
     return True
 
 
@@ -364,6 +365,16 @@ def _matrix_from_json(rows) -> np.ndarray:
     return as_complex_matrix(m)
 
 
+def _dims_from_json(value) -> LocalDims:
+    """The 'dims' entry: a list of integers.  Strings, bools and non-integral
+    numbers are refused, not coerced ("22" is not (2, 2))."""
+    if not isinstance(value, (list, tuple)) or not all(
+            (isinstance(d, int) and not isinstance(d, bool))
+            or (isinstance(d, float) and d.is_integer()) for d in value):
+        raise ValueError(f"'dims' must be a list of integers, got {value!r}")
+    return LocalDims(tuple(int(d) for d in value))
+
+
 def state_to_json(state) -> dict:
     """Dict form of a pure state (amplitude list) or a density matrix."""
     if isinstance(state, PureState):
@@ -379,7 +390,7 @@ def state_from_json(data: dict):
     """Parse the dict form produced by :func:`state_to_json`."""
     if not isinstance(data, dict) or not {"dims", "type", "data"} <= data.keys():
         raise ValueError("state JSON needs 'dims', 'type' and 'data' keys")
-    dims = LocalDims(tuple(int(d) for d in data["dims"]))
+    dims = _dims_from_json(data["dims"])
     kind = data["type"]
     if kind == "pure":
         return PureState(_matrix_from_json([data["data"]])[0], dims)
@@ -403,7 +414,7 @@ def channel_from_json(data: dict) -> SeparableChannel:
     """Parse the dict form produced by :func:`channel_to_json`."""
     if not isinstance(data, dict) or "dims" not in data or "ops" not in data:
         raise ValueError("channel JSON needs 'dims' and 'ops' keys")
-    dims = LocalDims(tuple(int(d) for d in data["dims"]))
+    dims = _dims_from_json(data["dims"])
     ops = []
     for m, entry in enumerate(data["ops"]):
         if "factors" not in entry:

@@ -96,25 +96,27 @@ def _load_channel(path: str) -> SeparableChannel:
     return channel
 
 
+def _family(table: dict, kind: str, name: str):
+    """The builder registered under ``name``; an unknown name is a usage
+    error that lists the known ones."""
+    if name not in table:
+        raise ValueError(f"unknown {kind} family {name!r}; known: {sorted(table)}")
+    return table[name]
+
+
 def _channel_from_args(args, dims: LocalDims) -> SeparableChannel | None:
-    if getattr(args, "channel", None):
+    if args.channel:
         return _load_channel(args.channel)
-    if getattr(args, "family", None):
-        if args.family not in CHANNEL_FAMILIES:
-            raise ValueError(f"unknown channel family {args.family!r}; "
-                             f"known: {sorted(CHANNEL_FAMILIES)}")
-        return CHANNEL_FAMILIES[args.family](args.param, dims=dims.dims)
+    if args.family:
+        return _family(CHANNEL_FAMILIES, "channel", args.family)(args.param, dims=dims.dims)
     return None
 
 
 def _state_from_args(args):
-    if getattr(args, "state", None):
+    if args.state:
         return state_from_json(_load_json(args.state))
-    if getattr(args, "state_family", None):
-        if args.state_family not in STATE_FAMILIES:
-            raise ValueError(f"unknown state family {args.state_family!r}; "
-                             f"known: {sorted(STATE_FAMILIES)}")
-        return STATE_FAMILIES[args.state_family](args.param)
+    if args.state_family:
+        return _family(STATE_FAMILIES, "state", args.state_family)(args.param)
     return None
 
 
@@ -312,10 +314,7 @@ def cmd_roof(args):
 
 
 def cmd_breaking(args):
-    if args.family not in LOCAL_FAMILIES:
-        raise ValueError(f"unknown local family {args.family!r}; "
-                         f"known: {sorted(LOCAL_FAMILIES)}")
-    family = LOCAL_FAMILIES[args.family]
+    family = _family(LOCAL_FAMILIES, "local", args.family)
     if args.bisect:
         try:
             lo, hi = (float(x) for x in args.range.split(":"))
@@ -355,11 +354,10 @@ def cmd_breaking(args):
 
 def cmd_sweep(args):
     dims = _parse_dims(args.dims)
-    if args.family not in CHANNEL_FAMILIES:
-        raise ValueError(f"unknown channel family {args.family!r}")
+    family = _family(CHANNEL_FAMILIES, "channel", args.family)
     records = []
     for param in _parse_range(args.param_range):
-        channel = CHANNEL_FAMILIES[args.family](param, dims=dims.dims)
+        channel = family(param, dims=dims.dims)
         if args.emit == "decay":
             value = decay_factor(channel)
         else:

@@ -29,7 +29,7 @@ import numpy as np
 from .channels import (SeparableChannel, _mixed_entanglement, apply,
                        apply_kraus, decay_factor, tensor_channels,
                        verify_evolution)
-from .linalg import PureState, as_complex_matrix
+from .linalg import PureState, _kron_stacks, as_complex_matrix
 from .measures import Measure, g_concurrence
 from .roof import _ensemble_objective, _search_core, _smoothing_stages
 from .sampling import RandomStream, random_density
@@ -230,14 +230,20 @@ def _products_are_rescaled_kraus(channel: SeparableChannel) -> bool:
     Algebra Appl. 18, 95 (1977)).  The test passes when some party t
     qualifies.
     """
-    factors = [[f.reshape(-1) for f in op.factors] for op in channel.ops]
-    for t in range(len(channel.dims)):
-        own = np.stack([fs[t] for fs in factors])
-        rest = np.stack([functools.reduce(np.kron, fs[:t] + fs[t + 1:], np.ones(1))
-                         for fs in factors])
-        if _full_row_rank(own) and _full_row_rank(rest):
-            return True
-    return False
+    return any(_full_row_rank(own) and _full_row_rank(rest)
+               for own, rest in _cut_rows(channel))
+
+
+def _cut_rows(channel: SeparableChannel):
+    """Per party t, the (M, d_t^2) rows a_m and the rows b_m of the rank
+    test, read from the channel's per-party factor stacks; a list on one
+    party has the (M, 1) rest rows of ones."""
+    m = len(channel)
+    rows = [f.reshape(m, 1, -1) for f in channel._factors]
+    for t, f in enumerate(channel._factors):
+        others = rows[:t] + rows[t + 1:]
+        rest = _kron_stacks(others)[:, 0] if others else np.ones((m, 1))
+        yield f.reshape(m, -1), rest
 
 
 def erf_minimize(channel: SeparableChannel,
@@ -379,7 +385,7 @@ def tensor_bound_check(local_channels,
     local_channels = list(local_channels)
     locals_found = [erf_minimize(ch, opts) for ch in local_channels]
     joint = tensor_channels(local_channels)
-    seed_mixing = functools.reduce(np.kron, [est.mixing_isometry for est in locals_found])
+    seed_mixing = _kron_stacks([est.mixing_isometry for est in locals_found])
     joint_est = erf_minimize(joint, opts, initial_mixings=(seed_mixing,))
     bound = math.prod(est.value for est in locals_found)
     slack = bound - joint_est.value

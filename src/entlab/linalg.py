@@ -219,6 +219,18 @@ def kron_all(mats) -> np.ndarray:
     return out
 
 
+def _kron_stacks(stacks) -> np.ndarray:
+    """Left-to-right Kronecker product of (..., r_i, c_i) stacks, member by
+    member over their shared leading axes; each member is bitwise what
+    ``np.kron`` gives for it.  Unlike :func:`kron` it neither validates nor
+    caps the size."""
+    out = stacks[0]
+    for s in stacks[1:]:
+        shape = out.shape[:-2] + (out.shape[-2] * s.shape[-2], out.shape[-1] * s.shape[-1])
+        out = (out[..., :, None, :, None] * s[..., None, :, None, :]).reshape(shape)
+    return out
+
+
 def partial_trace(rho: DensityMatrix, keep) -> DensityMatrix:
     """Trace out every party not listed in ``keep``.
 

@@ -13,7 +13,8 @@ from entlab.linalg import DensityMatrix, LocalDims, PureState, partial_transpose
 from entlab.measures import wootters_concurrence
 from entlab.families import (amplitude_damping_kraus, bell_state,
                              depolarizing_kraus, identity_kraus,
-                             isotropic_state, max_entangled_state, werner_state)
+                             isotropic_state, max_entangled_state,
+                             phase_damping_kraus, werner_state)
 from entlab.sampling import RandomStream, random_density, random_pure_state
 
 RNG = RandomStream(8128)
@@ -142,6 +143,31 @@ class TestPebTest:
     def test_non_closing_list_rejected(self):
         with pytest.raises(ValueError, match="close"):
             r_peb_test([np.eye(2) * 0.5], 1)
+
+    @pytest.mark.parametrize("p, breaking", [(0.0, False), (0.36, False), (1.0, True)])
+    def test_phase_damping(self, p, breaking):
+        # full dephasing measures in the computational basis and so breaks
+        assert r_peb_test(phase_damping_kraus(p), 1, probes=2).breaking is breaking
+
+
+E3 = np.eye(3, dtype=complex)
+
+
+class TestQutritProbes:
+    """On qutrits every verdict comes from the Schmidt-number search: the
+    PPT criterion is exact only on 2 x 2 and 2 x 3."""
+
+    @pytest.mark.parametrize("ops, target, breaking", [
+        (identity_kraus(3), 1, False),
+        ([np.outer(E3[0], E3[i]) for i in range(3)], 1, True),
+        (identity_kraus(3), 2, None),
+        ([np.diag([1.0, 1.0, 0.0]).astype(complex), np.outer(E3[0], E3[2])], 2, True),
+    ], ids=["identity-r1", "measure-prepare-r1", "identity-r2", "rank-two-r2"])
+    def test_roof_search_verdicts(self, ops, target, breaking):
+        report = r_peb_test(ops, target, probes=2)
+        assert [v.method for v in report.verdicts] == ["roof-search"] * 3
+        assert report.breaking is breaking
+        assert report.agreement
 
 
 class TestThresholdScan:

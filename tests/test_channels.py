@@ -9,16 +9,18 @@ import pytest
 from entlab.channels import (SeparableChannel, SeparableKrausOperator, apply,
                              apply_kraus, channel_from_json, channel_to_json,
                              decay_factor, det_weights, embed_one_sided,
-                             is_random_unitary, outcomes, tensor_channels,
-                             validate, verify_evolution)
+                             is_random_unitary, outcomes, state_from_json,
+                             state_to_json, tensor_channels, validate,
+                             verify_evolution)
 from entlab.linalg import DensityMatrix, LocalDims, PureState, kron_all
 from entlab.measures import (concurrence, g_concurrence, measure_pure,
                              measure_unnormalized, sqrt_three_tangle,
                              wootters_concurrence)
-from entlab.families import (amplitude_damping_kraus, bell_state,
-                             bit_flip_correlated, ghz_state, identity_channel,
+from entlab.families import (CHANNEL_FAMILIES, amplitude_damping_kraus,
+                             bell_state, bit_flip_correlated, ghz_state,
+                             identity_channel, phase_damping_kraus,
                              random_local_kraus, random_separable_channel,
-                             random_unitary_separable)
+                             random_unitary_separable, werner_state)
 from entlab.sampling import (RandomStream, random_density, random_haar_unitary,
                              random_pure_state)
 
@@ -233,6 +235,19 @@ class TestVerifyEvolution:
         assert not rep.exact
         assert rep.aggregate_residual < 1e-4
 
+    def test_mixed_input_with_a_null_branch(self):
+        # amplitude damping at gamma = 0 keeps a zero Kraus operator, whose
+        # branch has probability 0, no state and value 0
+        ch = embed_one_sided(amplitude_damping_kraus(0.0), 0, (2, 2))
+        rho = werner_state(0.8)
+        assert outcomes(ch, rho).outcomes[1].state is None
+        rep = verify_evolution(ch, rho, concurrence())
+        assert rep.exact
+        assert rep.decay == 1.0
+        assert rep.per_outcome_residuals[1] == 0.0
+        assert abs(rep.average_output_entanglement - rep.input_entanglement) < 1e-12
+        assert rep.aggregate_residual < 1e-12
+
     def test_decay_within_unit_interval(self):
         rep = verify_evolution(bit_flip_correlated(0.5), bell_state(), concurrence())
         assert 0.0 <= rep.decay <= 1.0 + 1e-10
@@ -354,6 +369,72 @@ class TestRandomUnitaryDetection:
             assert decay_factor(ch) < 1.0 - 1e-3
 
 
+def loop_random_unitary(channel):
+    """is_random_unitary's condition checked operator by operator, factor by
+    factor."""
+    for op in channel.ops:
+        for f in op.factors:
+            d = f.shape[0]
+            a = f.conj().T @ f
+            c = float(np.trace(a).real) / d
+            if c <= 0.0:
+                return False
+            if np.linalg.norm(a - c * np.eye(d)) > 1e-10 * max(1.0, c):
+                return False
+    return True
+
+
+class TestRandomUnitaryStacks:
+    """is_random_unitary checks each party's stack at once, with the verdict
+    of the per-factor loop."""
+
+    def channels(self):
+        g = RNG.child(40).generator()
+        for dims in ((2, 2), (3, 2), (2, 2, 2)):
+            for _ in range(5):
+                ch = random_unitary_separable(dims, int(g.integers(1, 5)), g)
+                yield ch
+                # one factor scaled, so its operator is c U with c != 1
+                ops = list(ch.ops)
+                ops[-1] = SeparableKrausOperator(
+                    ops[-1].factors[:-1] + (3.0 * ops[-1].factors[-1],))
+                yield SeparableChannel(dims, tuple(ops))
+                yield random_separable_channel(dims, int(g.integers(1, 5)), g)
+        # singular factors: a zero factor, a rank-one factor, a tiny unitary
+        u = random_haar_unitary(2, g)
+        for f in (np.zeros((2, 2)), np.outer([1.0, 1j], [1.0, 0.0]), 1e-9 * u):
+            yield SeparableChannel((2, 2), (SeparableKrausOperator((u, u)),
+                                            SeparableKrausOperator((u, f))))
+        yield embed_one_sided(amplitude_damping_kraus(0.0), 0, (2, 2))
+
+    def test_verdict_equals_the_per_factor_loop(self):
+        verdicts = []
+        for ch in self.channels():
+            verdict = is_random_unitary(ch)
+            assert verdict == loop_random_unitary(ch)
+            verdicts.append(verdict)
+        assert any(verdicts) and not all(verdicts)
+
+    def test_scaled_unitaries_are_random_unitary(self):
+        u = random_haar_unitary(3, RNG.child(41))
+        ch = SeparableChannel((3, 3), (SeparableKrausOperator((0.6 * u, u)),
+                                       SeparableKrausOperator((0.8 * u, u.conj()))))
+        assert is_random_unitary(ch) and loop_random_unitary(ch)
+
+
+class TestPhaseDamping:
+    def test_local_list_closes(self):
+        for p in (0.0, 0.36, 1.0):
+            ks = np.stack(phase_damping_kraus(p))
+            closure = np.sum(ks.conj().swapaxes(-1, -2) @ ks, axis=0)
+            assert np.max(np.abs(closure - np.eye(2))) < 1e-15
+
+    def test_family_decay(self):
+        ch = CHANNEL_FAMILIES["phase-damping"](0.36, dims=(2, 2))
+        assert validate(ch).ok
+        assert abs(decay_factor(ch) - 0.8) < 1e-12
+
+
 class TestEmbedAndTensor:
     def test_identity_local_channel_embeds_to_identity(self):
         ch = embed_one_sided([np.eye(2, dtype=complex)], 0, (2, 2))
@@ -436,6 +517,26 @@ class TestChannelJson:
         for a, b in zip(back.joint_ops, ch.joint_ops):
             assert np.max(np.abs(a - b)) < 1e-15
         assert back.ops[0].label == "keep"
+
+    @pytest.mark.parametrize("dims", ["22", [2.9, 2.2], [True, 2], [2, "2"],
+                                      [2, None], 2, {"a": 2}])
+    def test_loose_dims_are_refused(self, dims):
+        data = channel_to_json(bit_flip_correlated(0.3))
+        data["dims"] = dims
+        with pytest.raises(ValueError, match="list of integers"):
+            channel_from_json(data)
+        state = state_to_json(bell_state())
+        state["dims"] = dims
+        with pytest.raises(ValueError, match="list of integers"):
+            state_from_json(state)
+
+    def test_whole_number_dims_are_accepted(self):
+        data = channel_to_json(bit_flip_correlated(0.3))
+        data["dims"] = [2.0, 2]
+        assert channel_from_json(data).dims.dims == (2, 2)
+        state = state_to_json(bell_state())
+        state["dims"] = [2, 2.0]
+        assert state_from_json(state).dims.dims == (2, 2)
 
     def test_malformed_input_rejected(self):
         with pytest.raises(ValueError, match="dims"):

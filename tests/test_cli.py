@@ -307,6 +307,66 @@ class TestOtherCommands:
             assert abs(rec["value"] - expected) < 1e-12
 
 
+class TestNamedFamilies:
+    @pytest.mark.parametrize("argv, kind, known", [
+        (["sweep", "--family", "nope"], "channel", "phase-damping"),
+        (["decay", "--family", "nope"], "channel", "bit-flip-correlated"),
+        (["verify", "--family", "nope"], "channel", "amplitude-damping"),
+        (["verify", "--family", "identity", "--state-family", "nope"], "state", "werner"),
+        (["roof", "--state-family", "nope"], "state", "ghz"),
+        (["breaking", "--family", "nope"], "local", "depolarizing"),
+    ], ids=["sweep", "decay", "verify", "verify-state", "roof", "breaking"])
+    def test_unknown_family_is_a_usage_error_naming_the_known_ones(
+            self, argv, kind, known, capsys):
+        assert run(argv) == 2
+        err = capsys.readouterr().err
+        assert f"unknown {kind} family 'nope'; known: [" in err
+        assert repr(known) in err
+
+    def test_phase_damping_decay(self, tmp_path):
+        out = tmp_path / "d.json"
+        assert run(["decay", "--family", "phase-damping", "--param", "0.36",
+                    "--out", str(out)]) == 0
+        s = read_report(out)["summary"]
+        assert abs(s["decay"] - 0.8) < 1e-12
+        assert s["random_unitary"] is False
+
+
+class TestUntracedModes:
+    def test_breaking_probe_mode(self, tmp_path):
+        out = tmp_path / "b.json"
+        assert run(["breaking", "--family", "depolarizing", "--param", "0.9",
+                    "--probes", "2", "--out", str(out)]) == 0
+        report = read_report(out)
+        assert report["summary"]["breaking"] is True
+        assert report["summary"]["agreement"] is True
+        # the maximally entangled probe, index -1, then the two random ones
+        assert [r["probe"] for r in report["records"]] == [-1, 0, 1]
+
+    def test_sweep_emits_erf(self, tmp_path):
+        out = tmp_path / "s.json"
+        assert run(["sweep", "--family", "amplitude-damping", "--gamma", "0:1:0.5",
+                    "--emit", "erf", "--restarts", "1", "--out", str(out)]) == 0
+        values = [r["value"] for r in read_report(out)["records"]]
+        assert len(values) == 3
+        for value, expected in zip(values, (1.0, math.sqrt(0.5), 0.0)):
+            assert abs(value - expected) < 1e-12
+
+    def test_verify_with_the_g_concurrence(self, tmp_path):
+        out = tmp_path / "v.json"
+        assert run(["verify", "--random-channel", "--dims", "3,3", "--measure",
+                    "g_concurrence", "--trials", "2", "--out", str(out)]) == 0
+        assert read_report(out)["summary"]["pass"] is True
+
+    def test_state_dims_given_as_a_string_exit_two(self, tmp_path, capsys):
+        data = state_to_json(bell_state())
+        data["dims"] = "22"
+        path = tmp_path / "state.json"
+        path.write_text(json.dumps(data))
+        assert run(["verify", "--family", "identity", "--state", str(path)]) == 2
+        assert "list of integers" in capsys.readouterr().err
+
+
 class TestCsvProjection:
     def test_round_trips_through_json_values(self, tmp_path):
         jout, cout = tmp_path / "r.json", tmp_path / "r.csv"

@@ -1,5 +1,6 @@
 """Representation search for the resilience factor and its witness bounds."""
 
+import functools
 import itertools
 import math
 
@@ -10,9 +11,11 @@ from entlab.breaking import schmidt_number_upper
 from entlab.channels import (SeparableChannel, SeparableKrausOperator, apply,
                              apply_kraus, decay_factor, embed_one_sided,
                              tensor_channels, verify_evolution)
+from entlab import erf
 from entlab.erf import (MixingSearchOptions, erf_bounds, erf_minimize,
-                        tensor_bound_check, _mix, _products_are_rescaled_kraus,
-                        _realign, _search_mixings, _search_objective, _split_terms)
+                        tensor_bound_check, _cut_rows, _full_row_rank, _mix,
+                        _products_are_rescaled_kraus, _realign, _search_mixings,
+                        _search_objective, _split_terms)
 from entlab.linalg import DensityMatrix, LocalDims, kron, kron_all
 from entlab.measures import concurrence, measure_pure, wootters_concurrence
 from entlab.families import (amplitude_damping_kraus, bell_state,
@@ -256,6 +259,65 @@ class TestExactPath:
             assert est.value >= decay_factor(ch) - 1e-7
 
 
+def reference_rows(channel):
+    """The rank test's rows operator by operator, with np.kron."""
+    factors = [[f.reshape(-1) for f in op.factors] for op in channel.ops]
+    for t in range(len(channel.dims)):
+        own = np.stack([fs[t] for fs in factors])
+        rest = np.stack([functools.reduce(np.kron, fs[:t] + fs[t + 1:], np.ones(1))
+                         for fs in factors])
+        yield own, rest
+
+
+def rank_test_channels():
+    g = RNG.child(40).generator()
+    zero = SeparableKrausOperator((np.zeros((2, 2)), I2))
+    bit_flip = bit_flip_correlated(0.3)
+    chans = [local_channel(random_local_kraus(2, 3, g)),
+             SeparableChannel(LocalDims((3,)), (SeparableKrausOperator((np.eye(3),)),)),
+             embed_one_sided(amplitude_damping_kraus(0.36), 0, (2, 2)),
+             embed_one_sided(random_local_kraus(2, 3, g), 2, (2, 3, 2)),
+             tensor_pair(0), tensor_pair(1),
+             SeparableChannel(bit_flip.dims, bit_flip.ops + (zero,))]
+    for dims in ((2, 2), (2, 3), (3, 3), (2, 2, 2), (2, 2, 2, 2)):
+        for _ in range(6):
+            chans.append(random_separable_channel(dims, int(g.integers(1, 6)), g))
+    return chans
+
+
+class TestRankTestRows:
+    """The rank test reads the channel's per-party stacks; its rows and
+    verdicts are those of the operator-by-operator np.kron construction."""
+
+    def test_rows_equal_the_per_operator_kron(self):
+        for ch in rank_test_channels():
+            rows = list(_cut_rows(ch))
+            ref = list(reference_rows(ch))
+            assert len(rows) == len(ref) == len(ch.dims)
+            for (own, rest), (own_ref, rest_ref) in zip(rows, ref):
+                assert own.shape == own_ref.shape and rest.shape == rest_ref.shape
+                assert np.array_equal(own, own_ref)
+                assert np.array_equal(rest, rest_ref)
+
+    def test_verdicts_equal_the_per_operator_kron(self):
+        verdicts = []
+        for ch in rank_test_channels():
+            ref = any(_full_row_rank(own) and _full_row_rank(rest)
+                      for own, rest in reference_rows(ch))
+            assert _products_are_rescaled_kraus(ch) == ref
+            verdicts.append(ref)
+        # both verdicts occur, so the comparison is not vacuous
+        assert any(verdicts) and not all(verdicts)
+
+    def test_rest_rows_are_not_capped(self):
+        # the rest rows of party 0 have 16^4 columns, beyond kron_all's cap
+        ch = SeparableChannel((2, 16, 16), (SeparableKrausOperator(
+            (np.eye(2), np.eye(16), np.eye(16))),))
+        own, rest = next(_cut_rows(ch))
+        assert own.shape == (1, 4) and rest.shape == (1, 65536)
+        assert _products_are_rescaled_kraus(ch)
+
+
 def local_triple():
     g = RNG.child(14).generator()
     return tensor_channels([local_channel(random_local_kraus(2, count, g))
@@ -374,6 +436,24 @@ class TestTensorBound:
         assert rep.ok
         # the unitary factor contributes a factor of one
         assert rep.joint_value <= rep.local_values[1] + 1e-6
+
+    def test_seed_is_the_kron_of_the_local_mixings(self, monkeypatch):
+        calls = []
+
+        def recording(ch, opts, initial_mixings=()):
+            est = erf_minimize(ch, opts, initial_mixings)
+            calls.append((est, initial_mixings))
+            return est
+
+        monkeypatch.setattr(erf, "erf_minimize", recording)
+        g = RNG.child(41).generator()
+        chans = [local_channel(random_local_kraus(2, 2, g)),
+                 local_channel(random_local_kraus(2, 3, g))]
+        tensor_bound_check(chans, MixingSearchOptions(restarts=1, max_iterations=20))
+        *local, (_, (seed,)) = calls
+        expected = functools.reduce(np.kron, [est.mixing_isometry for est, _ in local])
+        assert seed.shape == (6, 6)
+        assert seed.tobytes() == expected.tobytes()
 
     def test_random_pairs(self):
         for i in range(3):

@@ -1,13 +1,15 @@
 """Tensor-space linear algebra: tensor products, partial trace, determinants,
 Schmidt decompositions, and the determinant identities the decay law rests on."""
 
+import functools
 import math
 
 import numpy as np
 import pytest
 
-from entlab.linalg import (DensityMatrix, LocalDims, PureState, determinant,
-                           kron, kron_all, partial_trace, schmidt_decompose)
+from entlab.linalg import (DensityMatrix, LocalDims, PureState, _kron_stacks,
+                           determinant, kron, kron_all, partial_trace,
+                           schmidt_decompose)
 from entlab.sampling import RandomStream, ginibre, random_density
 
 RNG = RandomStream(20240811)
@@ -78,6 +80,45 @@ class TestKron:
         big = np.eye(70)
         with pytest.raises(ValueError, match="desk-scale"):
             kron(big, big)
+
+
+class TestKronStacks:
+    """The stacked Kronecker product is np.kron member by member, byte for
+    byte, with no size cap."""
+
+    SHAPES = ((2, 2), (3, 3), (1, 4), (2, 3), (1, 1))
+
+    @pytest.mark.parametrize("n", [1, 2, 3, 4])
+    def test_matrices_equal_np_kron(self, n):
+        g = RNG.child(30, n).generator()
+        for i in range(10):
+            mats = [ginibre(*self.SHAPES[(i + k) % 5], g) for k in range(n)]
+            assert _kron_stacks(mats).tobytes() == functools.reduce(np.kron, mats).tobytes()
+
+    @pytest.mark.parametrize("n", [1, 2, 3, 4])
+    def test_stacks_equal_np_kron_per_member(self, n):
+        g = RNG.child(31, n).generator()
+        for i in range(10):
+            m = int(g.integers(1, 5))
+            stacks = [np.stack([ginibre(*self.SHAPES[(i + k) % 5], g) for _ in range(m)])
+                      for k in range(n)]
+            loop = np.stack([functools.reduce(np.kron, [s[j] for s in stacks])
+                             for j in range(m)])
+            out = _kron_stacks(stacks)
+            assert out.shape == loop.shape
+            assert out.tobytes() == loop.tobytes()
+
+    def test_row_vectors_and_signed_zeros(self):
+        g = RNG.child(32).generator()
+        rows = [ginibre(1, 4, g), np.array([[0.0, -0.0, 1e-300, -2.0]]),
+                np.array([[-0.0j, 3.0 - 0.0j]])]
+        assert _kron_stacks(rows).tobytes() == functools.reduce(np.kron, rows).tobytes()
+
+    def test_no_desk_scale_cap(self):
+        rows = [np.ones((1, 256)), np.ones((1, 256))]
+        assert _kron_stacks(rows).shape == (1, 65536)
+        with pytest.raises(ValueError, match="desk-scale"):
+            kron_all(rows)
 
 
 class TestPartialTrace:
