@@ -1,14 +1,17 @@
 """Separable CPTP operations as lists of product Kraus operators.
 
 A separable channel stores each Kraus operator as one square factor per
-party; the joint operator is the tensor product of the factors.  The decay
-factor ``sum_m prod_i |det K_m^(i)|**(2/d_i)`` ties the average output
+party, stacked per party once at construction; the joint operators are the
+tensor products of the factors.  The decay factor
+``sum_m prod_i |det K_m^(i)|**(2/d_i)`` ties the average output
 entanglement of any SL-invariant measure to the input entanglement, and
-``verify_evolution`` checks that identity outcome by outcome.  The module also
-holds the JSON forms of channels and states.
+``verify_evolution`` checks that identity outcome by outcome, with every
+branch K_m rho K_m^dag in one stack: a pure input's branches go through one
+polynomial batch, a mixed input's through one density check and one call
+of the measure's exact mixed-state oracle.  The module also holds the JSON
+forms of channels and states.
 
-Channels and reports are immutable values; verification over batches of
-(channel, state) pairs parallelizes trivially.
+Channels and reports are immutable values.
 """
 
 from __future__ import annotations
@@ -19,7 +22,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .linalg import (DensityMatrix, LocalDims, PureState, _as_local_dims,
-                     _kron_stacks, _vdots, as_complex_matrix, kron_all)
+                     _checked_densities, _kron_stacks, _vdots, as_complex_matrix,
+                     kron_all)
 from .measures import Measure, _value_of_poly, measure_pure
 from .roof import convex_roof
 
@@ -236,8 +240,57 @@ def _mixed_entanglement(measure: Measure, rho: DensityMatrix):
     """Mixed-state value and whether it is exact (the measure's own oracle)
     or a convex-roof estimate at the default options."""
     if measure.exact_mixed is not None:
-        return measure.exact_mixed(rho), True
+        return float(measure.exact_mixed(rho.mat[None])[0]), True
     return convex_roof(measure, rho).value, False
+
+
+def _require_input_entanglement(e_in: float) -> None:
+    if e_in <= MIN_INPUT_ENTANGLEMENT:
+        raise ValueError(
+            "input entanglement vanishes; the evolution identity requires a "
+            "nonzero input value"
+        )
+
+
+def _mixed_pass(channel: SeparableChannel, rho: DensityMatrix, measure: Measure,
+                with_output: bool):
+    """The mixed-state values of :func:`verify_evolution` from one branch
+    stack K_m rho K_m^dag.
+
+    The live branches (p_m > 1e-12), normalized, are checked as one stack
+    and, with the measure's oracle, valued together with rho in one call;
+    without one, each gets its own :func:`convex_roof`.  With
+    ``with_output`` the stack also carries L(rho), the branch sum that
+    :func:`apply` returns.  Returns (E(rho), the p_m E(sigma_m) per operator
+    with 0 for null branches, whether every value is exact, E(L(rho)) or
+    None).
+    """
+    if rho.dims.dims != channel.dims.dims:
+        raise ValueError("state dims do not match channel dims")
+    ks = channel.joint_ops
+    branches = ks @ rho.mat @ ks.conj().swapaxes(-1, -2)
+    p = branches.diagonal(0, -2, -1).sum(-1).real
+    live = p > NULL_OUTCOME_TOL
+    mats = branches[live] / p[live, None, None]
+    n = len(mats)
+    unit = True
+    if with_output:
+        mats = np.concatenate((mats, np.sum(branches, axis=-3, initial=0.0)[None]))
+        # the normalized branches have unit trace, L(rho) has rho's trace
+        unit = rho.unit_trace or np.arange(n + 1) < n
+    states = _checked_densities(mats, unit)
+    if measure.exact_mixed is not None:
+        vals = measure.exact_mixed(np.concatenate((rho.mat[None], states)))
+        e_in, vals, exact = float(vals[0]), vals[1:], True
+        _require_input_entanglement(e_in)
+    else:
+        e_in, exact = convex_roof(measure, rho).value, False
+        _require_input_entanglement(e_in)
+        vals = np.array([convex_roof(measure, DensityMatrix(s, rho.dims, bool(u))).value
+                         for s, u in zip(states, np.broadcast_to(unit, len(states)))])
+    values = np.zeros(len(p))
+    values[live] = p[live] * vals[:n]
+    return e_in, values.tolist(), exact, float(vals[-1]) if with_output else None
 
 
 def verify_evolution(channel: SeparableChannel, rho,
@@ -252,36 +305,20 @@ def verify_evolution(channel: SeparableChannel, rho,
     a nonzero denominator.
     """
     measure.check_dims(channel.dims)
-    pure = isinstance(rho, PureState)
-    if pure:
+    if isinstance(rho, PureState):
         if rho.dims.dims != channel.dims.dims:
             raise ValueError("state dims do not match channel dims")
         e_in = measure_pure(measure, rho)
-        exact = True
-    else:
-        e_in, exact = _mixed_entanglement(measure, rho)
-    if e_in <= MIN_INPUT_ENTANGLEMENT:
-        raise ValueError(
-            "input entanglement vanishes; the evolution identity requires a "
-            "nonzero input value"
-        )
-
-    if pure:
+        _require_input_entanglement(e_in)
         branches = channel.joint_ops @ rho.amps
         if not np.all(np.isfinite(branches)):
             raise ValueError("amplitudes must be finite")
         live = _vdots(branches, branches) > NULL_OUTCOME_TOL
         values = [_value_of_poly(measure, f) if keep else 0.0
                   for f, keep in zip(measure.eval_poly_batch(branches), live)]
+        exact = True
     else:
-        values = []
-        for outcome in outcomes(channel, rho).outcomes:
-            if outcome.state is None:
-                values.append(0.0)
-                continue
-            value, branch_exact = _mixed_entanglement(measure, outcome.state)
-            exact = exact and branch_exact
-            values.append(outcome.probability * value)
+        e_in, values, exact, _ = _mixed_pass(channel, rho, measure, with_output=False)
     total = _running_sum(values)
     weights = det_weights(channel)
     decay = _running_sum(weights)

@@ -186,7 +186,7 @@ def cmd_verify(args):
                 if args.mixed:
                     rank = int(gen.integers(1, dims.total + 1))
                     state = random_density(dims, rank, gen)
-                    if measure.exact_mixed(state) > 1e-3:
+                    if measure.exact_mixed(state.mat[None])[0] > 1e-3:
                         break
                 else:
                     state = random_pure_state(dims, gen)
@@ -305,8 +305,8 @@ def cmd_roof(args):
     }
     ok = result.converged
     if measure.exact_mixed is not None:
-        oracle = measure.exact_mixed(state)
-        summary["wootters"] = float(oracle)
+        oracle = float(measure.exact_mixed(state.mat[None])[0])
+        summary["wootters"] = oracle
         summary["oracle_deviation"] = float(abs(result.value - oracle))
         ok = ok and abs(result.value - oracle) < 1e-4
     summary["pass"] = ok

@@ -22,13 +22,13 @@ from __future__ import annotations
 
 import functools
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .channels import (SeparableChannel, _mixed_entanglement, apply,
-                       apply_kraus, decay_factor, tensor_channels,
-                       verify_evolution)
+from .channels import (SeparableChannel, _mixed_entanglement, _mixed_pass,
+                       _running_sum, apply, apply_kraus, decay_factor,
+                       tensor_channels, verify_evolution)
 from .linalg import PureState, _kron_stacks, as_complex_matrix
 from .measures import Measure, g_concurrence
 from .roof import _ensemble_objective, _search_core, _smoothing_stages
@@ -347,20 +347,25 @@ class ErfBounds:
 
 
 def erf_bounds(channel: SeparableChannel, rho, measure: Measure) -> ErfBounds:
-    """Lower/upper witnesses E(L(rho))/E(rho) and sum_m p_m E(sigma_m)/E(rho),
-    the upper one read from :func:`verify_evolution`'s report.
+    """Lower/upper witnesses E(L(rho))/E(rho) and sum_m p_m E(sigma_m)/E(rho).
 
+    For a pure input the upper one is read from :func:`verify_evolution`'s
+    report.  For a mixed one both come from the same branch stack
+    K_m rho K_m^dag: L(rho) is its sum, checked and valued with the branches.
     Exact when every mixed evaluation uses the measure's exact mixed-state
     oracle; otherwise the lower witness rests on a roof upper estimate and
     the pair is flagged heuristic (``exact=False``).
     """
-    report = verify_evolution(channel, rho, measure)
-    e_in = report.input_entanglement
-    rho_mat = rho.density() if isinstance(rho, PureState) else rho
-    e_out, out_exact = _mixed_entanglement(measure, apply(channel, rho_mat))
-    return ErfBounds(lower=e_out / e_in,
-                     upper=report.average_output_entanglement / e_in,
-                     exact=report.exact and out_exact)
+    if isinstance(rho, PureState):
+        report = verify_evolution(channel, rho, measure)
+        e_in, total = report.input_entanglement, report.average_output_entanglement
+        e_out, out_exact = _mixed_entanglement(measure, apply(channel, rho.density()))
+        exact = report.exact and out_exact
+    else:
+        measure.check_dims(channel.dims)
+        e_in, values, exact, e_out = _mixed_pass(channel, rho, measure, with_output=True)
+        total = _running_sum(values)
+    return ErfBounds(lower=e_out / e_in, upper=total / e_in, exact=exact)
 
 
 @dataclass(frozen=True)
@@ -380,13 +385,16 @@ def tensor_bound_check(local_channels,
     The joint search is seeded with the tensor product of the locally optimal
     mixings, which is itself a valid separable representation of the joint
     channel, so the inequality holds by construction and the free search can
-    only improve it.
+    only improve it.  The seed has prod_i (M_i + extra_operators) rows, so
+    the joint search takes that many operators.
     """
     local_channels = list(local_channels)
     locals_found = [erf_minimize(ch, opts) for ch in local_channels]
     joint = tensor_channels(local_channels)
     seed_mixing = _kron_stacks([est.mixing_isometry for est in locals_found])
-    joint_est = erf_minimize(joint, opts, initial_mixings=(seed_mixing,))
+    joint_opts = replace(
+        opts, extra_operators=seed_mixing.shape[0] - seed_mixing.shape[1])
+    joint_est = erf_minimize(joint, joint_opts, initial_mixings=(seed_mixing,))
     bound = math.prod(est.value for est in locals_found)
     slack = bound - joint_est.value
     return TensorBoundReport(

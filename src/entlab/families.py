@@ -9,7 +9,8 @@ import numpy as np
 from .channels import SeparableChannel, SeparableKrausOperator, embed_one_sided
 from .linalg import DensityMatrix, LocalDims, PureState, _as_local_dims
 from .measures import SIGMA_X, SIGMA_Y, SIGMA_Z
-from .sampling import as_generator, random_haar_unitary, random_isometry
+from .sampling import (_haar_unitaries, as_generator, random_haar_unitary,
+                       random_isometry)
 
 
 # --- reference states -------------------------------------------------------
@@ -153,8 +154,16 @@ def _correlated_factors(dims, count: int, g, singular: bool = False
             local = [a / math.sqrt(2.0), random_haar_unitary(d, g) @ a / math.sqrt(2.0)] + local
     else:
         local = random_local_kraus(d, count, g)
-    return [[random_haar_unitary(dims[i], g) if i != party else k
-             for i in range(dims.n_parties)] for k in local]
+    # every bystander unitary from one block of normals, drawn branch by
+    # branch and party by party as one draw per unitary would take them
+    others = [i for i in range(dims.n_parties) if i != party]
+    sizes = [2 * dims[i] ** 2 for i in others]
+    normals = np.split(g.standard_normal((len(local), sum(sizes))),
+                       np.cumsum(sizes)[:-1], axis=1)
+    unitaries = {i: _haar_unitaries(block.reshape(-1, 2, dims[i], dims[i]))
+                 for i, block in zip(others, normals)}
+    return [[unitaries[i][m] if i != party else k for i in range(dims.n_parties)]
+            for m, k in enumerate(local)]
 
 
 def random_separable_channel(dims, count: int, rng) -> SeparableChannel:

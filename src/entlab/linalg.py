@@ -63,6 +63,36 @@ def _vdots(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     return (a.conj().reshape(n, 1, -1) @ b.reshape(n, -1, 1))[:, 0, 0].real
 
 
+def _checked_densities(mats: np.ndarray, unit_trace=True) -> np.ndarray:
+    """DensityMatrix's checks on a (k, D, D) complex stack, member by member.
+
+    Every member must have finite entries, be Hermitian within 1e-12 * scale
+    (scale = max(1, |tr|)), have trace 1 within 1e-12 (or a positive trace
+    where ``unit_trace``, a bool or one bool per member, is False) and no
+    eigenvalue below -1e-10 * scale.  Returns the stack symmetrized as
+    (M + M^dag) / 2; raises DensityMatrix's ValueError if a member fails.
+    """
+    if not np.isfinite(mats).all():
+        raise ValueError("matrix entries must be finite (no NaN/Inf)")
+    adj = mats.conj().swapaxes(-1, -2)
+    # the symmetrized diagonal is the real part of the given one, so this
+    # real part is also the symmetrized trace, bit for bit
+    tr = mats.diagonal(0, -2, -1).sum(-1)
+    scale = np.maximum(1.0, abs(tr))
+    tr = tr.real
+    if (abs(mats - adj).max(axis=(-2, -1)) > HERMITIAN_TOL * scale).any():
+        raise ValueError("density matrix must be Hermitian within 1e-12")
+    mats = (mats + adj) / 2.0
+    off = (abs(tr - 1.0) > TRACE_TOL) & np.asarray(unit_trace, dtype=bool)
+    if off.any():
+        raise ValueError(f"trace must be 1 within 1e-12, got {float(tr[off][0])!r}")
+    if (tr <= 0.0).any():
+        raise ValueError(f"trace must be positive, got {float(tr[tr <= 0.0][0])!r}")
+    if (np.linalg.eigvalsh(mats)[..., 0] < EIGENVALUE_FLOOR * scale).any():
+        raise ValueError("density matrix has a significantly negative eigenvalue")
+    return mats
+
+
 @dataclass(frozen=True)
 class LocalDims:
     """Ordered local Hilbert-space dimensions (d_1, ..., d_n)."""
@@ -169,18 +199,10 @@ class DensityMatrix:
     def __post_init__(self):
         dims = _as_local_dims(self.dims)
         d = dims.total
-        mat = as_complex_matrix(self.mat, d, d)
-        scale = max(1.0, float(np.abs(np.trace(mat)).real))
-        if np.max(np.abs(mat - mat.conj().T)) > HERMITIAN_TOL * scale:
-            raise ValueError("density matrix must be Hermitian within 1e-12")
-        mat = (mat + mat.conj().T) / 2.0
-        tr = float(np.trace(mat).real)
-        if self.unit_trace and abs(tr - 1.0) > TRACE_TOL:
-            raise ValueError(f"trace must be 1 within 1e-12, got {tr!r}")
-        if not self.unit_trace and tr <= 0.0:
-            raise ValueError(f"trace must be positive, got {tr!r}")
-        if np.min(np.linalg.eigvalsh(mat)) < EIGENVALUE_FLOOR * scale:
-            raise ValueError("density matrix has a significantly negative eigenvalue")
+        mat = np.asarray(self.mat, dtype=np.complex128)
+        if mat.shape != (d, d):
+            as_complex_matrix(mat, d, d)  # raises its shape message
+        mat = _checked_densities(mat[None], self.unit_trace)[0]
         object.__setattr__(self, "mat", _freeze(mat))
         object.__setattr__(self, "dims", dims)
 

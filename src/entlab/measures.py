@@ -37,7 +37,9 @@ class Measure:
     ``poly_grad_batch`` returns the holomorphic gradient of each row.  Both
     work on whole stacks so optimizers can evaluate an ensemble in one numpy
     call; a single state is a one-row stack.  ``exact_mixed``, when set,
-    gives the exact mixed-state value (the convex roof in closed form).
+    maps a (k, D, D) stack of checked density matrices (as DensityMatrix
+    leaves them) to the k exact mixed-state values, the convex roof in
+    closed form; one state is a one-member stack.
     """
 
     name: str
@@ -46,7 +48,7 @@ class Measure:
     scale: float
     poly_batch: Callable[[np.ndarray], np.ndarray]
     poly_grad_batch: Callable[[np.ndarray], np.ndarray]
-    exact_mixed: Callable[[DensityMatrix], float] | None = None
+    exact_mixed: Callable[[np.ndarray], np.ndarray] | None = None
 
     def check_dims(self, dims) -> None:
         dims = _as_local_dims(dims)
@@ -83,11 +85,11 @@ def concurrence() -> Measure:
     def grad_batch(rows):
         return 2.0 * rows @ _YY.T
 
-    # the module attribute is looked up on each call, so rebinding
-    # wootters_concurrence (say, to profile it) also reaches this measure
+    # the oracle is the stacked kernel itself: rebinding wootters_concurrence
+    # (say, to profile it) reaches single-state calls only
     return Measure("concurrence", LocalDims((2, 2)), degree=2, scale=1.0,
                    poly_batch=poly_batch, poly_grad_batch=grad_batch,
-                   exact_mixed=lambda rho: wootters_concurrence(rho))
+                   exact_mixed=_wootters_batch)
 
 
 def adjugate(mats: np.ndarray) -> np.ndarray:
@@ -250,23 +252,32 @@ def measure_unnormalized(measure: Measure, psi: PureState) -> float:
     return _value_of_row(measure, psi.amps)
 
 
-def wootters_concurrence(rho: DensityMatrix) -> float:
-    """Closed-form two-qubit mixed-state concurrence.
+def _wootters_batch(mats: np.ndarray) -> np.ndarray:
+    """Wootters concurrence of each member of a (k, 4, 4) stack of checked
+    two-qubit density matrices, from one eigh and one svd call.
 
     max(0, l1 - l2 - l3 - l4) with the descending square roots of the
-    eigenvalues of rho (sy x sy) rho* (sy x sy).  This is the exact convex
-    roof of the pure-state concurrence and serves as the oracle for the
-    roof optimizer.
+    eigenvalues of rho (sy x sy) rho* (sy x sy).  These are the singular
+    values of sqrt(rho) (sy x sy) sqrt(rho)*, a numerically better-conditioned
+    form than the eigenvalues of that non-Hermitian product.
+    """
+    w, v = np.linalg.eigh(mats)
+    root = (v * np.sqrt(np.clip(w, 0.0, None))[..., None, :]) @ v.conj().swapaxes(-1, -2)
+    lam = np.linalg.svd(root @ _YY @ root.conj(), compute_uv=False)
+    c = lam[:, 0] - lam[:, 1] - lam[:, 2] - lam[:, 3]
+    # max(0, c) as Python's max gives it
+    return np.where(c > 0.0, c, 0.0)
+
+
+def wootters_concurrence(rho: DensityMatrix) -> float:
+    """Closed-form two-qubit mixed-state concurrence, the exact convex roof
+    of the pure-state concurrence (Wootters, PRL 80, 2245 (1998)) and the
+    oracle for the roof optimizer; the one-member case of the concurrence
+    measure's ``exact_mixed``.
     """
     if rho.dims.dims != (2, 2):
         raise ValueError(f"wootters_concurrence needs dims (2, 2), got {rho.dims.dims}")
-    # The l_i are the singular values of sqrt(rho) (sy x sy) sqrt(rho)*,
-    # a numerically better-conditioned form than the eigenvalues of the
-    # non-Hermitian product rho (sy x sy) rho* (sy x sy).
-    w, v = np.linalg.eigh(rho.mat)
-    root = (v * np.sqrt(np.clip(w, 0.0, None))) @ v.conj().T
-    lam = np.linalg.svd(root @ _YY @ root.conj(), compute_uv=False)
-    return float(max(0.0, lam[0] - lam[1] - lam[2] - lam[3]))
+    return float(_wootters_batch(rho.mat[None])[0])
 
 
 def sl_invariance_deviation(measure: Measure, rng) -> float:

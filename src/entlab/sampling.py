@@ -62,11 +62,19 @@ def _haar_q(a: np.ndarray) -> np.ndarray:
     return q * (diag / np.abs(diag))[..., None, :]
 
 
+def _haar_unitaries(normals: np.ndarray) -> np.ndarray:
+    """Haar unitaries from a (..., 2, d, d) block of standard normals, the
+    real and imaginary parts of one Ginibre draw each, by one stacked QR;
+    each member is bitwise what :func:`random_haar_unitary` makes of the
+    same normals."""
+    return _haar_q((normals[..., 0, :, :] + 1j * normals[..., 1, :, :]) / math.sqrt(2.0))
+
+
 def random_haar_unitary(d: int, rng) -> np.ndarray:
     """Haar-distributed d x d unitary (QR of a Ginibre draw, phase-fixed)."""
     if d < 1:
         raise ValueError("dimension must be >= 1")
-    return _haar_q(ginibre(d, d, rng))
+    return _haar_unitaries(as_generator(rng).standard_normal((2, d, d)))
 
 
 def random_sl(d: int, rng) -> np.ndarray:

@@ -21,6 +21,7 @@ from entlab.families import (CHANNEL_FAMILIES, amplitude_damping_kraus,
                              identity_channel, phase_damping_kraus,
                              random_local_kraus, random_separable_channel,
                              random_unitary_separable, werner_state)
+from entlab.roof import convex_roof
 from entlab.sampling import (RandomStream, random_density, random_haar_unitary,
                              random_pure_state)
 
@@ -291,6 +292,33 @@ class TestStackedEvaluation:
             assert np.array_equal(ch.joint_ops, loop)
             assert ch.joint_ops.tobytes() == loop.tobytes()
 
+    @pytest.mark.parametrize("dims", [(2,), (2, 2), (2, 3), (3, 2), (2, 2, 2), (2, 3, 2)])
+    def test_bystander_unitaries_equal_one_draw_each(self, dims):
+        # random_separable_channel draws every bystander unitary from one
+        # block of normals; each equals its own random_haar_unitary draw in
+        # branch-then-party order, and the generator ends where those would
+        from entlab.families import _correlated_factors
+        for i in range(12):
+            g_block = RNG.child(27, len(dims), i).generator()
+            g_loop = RNG.child(27, len(dims), i).generator()
+            count, singular = 1 + i % 5, i % 2 == 1
+            block = _correlated_factors(LocalDims(dims), count, g_block, singular)
+            party = int(g_loop.integers(len(dims)))
+            d = dims[party]
+            if singular and d == 2 and count >= 2:
+                local = amplitude_damping_kraus(float(g_loop.uniform(0.2, 0.8)))
+                while len(local) < count:
+                    a = local.pop(0)
+                    local = [a / math.sqrt(2.0),
+                             random_haar_unitary(d, g_loop) @ a / math.sqrt(2.0)] + local
+            else:
+                local = random_local_kraus(d, count, g_loop)
+            loop = [[random_haar_unitary(dims[j], g_loop) if j != party else k
+                     for j in range(len(dims))] for k in local]
+            assert [[f.tobytes() for f in row] for row in block] == \
+                [[f.tobytes() for f in row] for row in loop]
+            assert g_block.random() == g_loop.random()
+
     def test_singular_factors_keep_the_kron_all_stack(self):
         g = RNG.child(21).generator()
         factors = [(random_haar_unitary(2, g), np.zeros((2, 2))),
@@ -344,6 +372,114 @@ class TestStackedEvaluation:
             ch = SeparableChannel((2, 2), (SeparableKrausOperator((huge, huge)),))
             with pytest.raises(ValueError, match="amplitudes must be finite"):
                 verify_evolution(ch, bell_state(), concurrence())
+
+
+def composed_mixed(channel, rho, measure=None):
+    """verify_evolution and erf_bounds on a mixed input, composed outcome by
+    outcome from outcomes(), apply() and the single-state oracle (or roof):
+    the reference their one stacked pass must reproduce bitwise."""
+    def value(state):
+        if measure is None:
+            return wootters_concurrence(state)
+        return convex_roof(measure, state).value
+    e_in = value(rho)
+    values = [o.probability * value(o.state) if o.state is not None else 0.0
+              for o in outcomes(channel, rho).outcomes]
+    weights = [op.det_weight() for op in channel.ops]
+    total = decay = 0.0
+    for v, w in zip(values, weights):
+        total += v
+        decay += w
+    residuals = [abs(v - w * e_in) for w, v in zip(weights, values)]
+    lower = value(apply(channel, rho)) / e_in
+    return (decay, residuals, abs(total - decay * e_in), total, e_in), (lower, total / e_in)
+
+
+class TestMixedStack:
+    """A mixed input runs as one branch stack: one density check, one oracle
+    call, L(rho) as the branch sum; results equal the per-outcome
+    composition bitwise."""
+
+    @staticmethod
+    def cases(i):
+        g = RNG.child(24, i).generator()
+        ch = random_separable_channel((2, 2), int(g.integers(1, 7)), g)
+        if i % 3 == 0:
+            # a zero branch and one of weight 1e-14, both valued 0
+            ops = list(ch.ops) + [
+                SeparableKrausOperator((np.zeros((2, 2)), np.eye(2))),
+                SeparableKrausOperator((1e-7 * np.eye(2), np.eye(2)))]
+            ch = SeparableChannel((2, 2), tuple(ops))
+        while True:
+            rho = random_density((2, 2), int(g.integers(1, 5)), g)
+            if wootters_concurrence(rho) > 1e-3:
+                break
+        if i % 4 == 1:
+            rho = DensityMatrix(0.625 * rho.mat, (2, 2), unit_trace=False)
+        return ch, rho
+
+    def test_mixed_verify_and_bounds_equal_the_outcome_composition(self):
+        from entlab.erf import erf_bounds
+        for i in range(24):
+            ch, rho = self.cases(i)
+            (decay, residuals, aggregate, total, e_in), (lower, upper) = \
+                composed_mixed(ch, rho)
+            rep = verify_evolution(ch, rho, concurrence())
+            assert rep.exact
+            assert rep.input_entanglement.hex() == e_in.hex()
+            assert rep.decay.hex() == decay.hex()
+            assert hexes(rep.per_outcome_residuals) == hexes(residuals)
+            assert rep.aggregate_residual.hex() == aggregate.hex()
+            assert rep.average_output_entanglement.hex() == total.hex()
+            b = erf_bounds(ch, rho, concurrence())
+            assert b.exact
+            assert (b.lower.hex(), b.upper.hex()) == (lower.hex(), upper.hex())
+
+    def test_null_branches_are_zero(self):
+        ch, rho = self.cases(0)
+        rep = verify_evolution(ch, rho, concurrence())
+        # residual |0 - w e_in|: the zero operator has w = 0, the tiny one 1e-14
+        w = det_weights(ch)[-2:]
+        assert w[0] == 0.0 and w[1] > 0.0
+        assert rep.per_outcome_residuals[-2:] == (0.0, w[1] * rep.input_entanglement)
+
+    def test_output_keeps_the_input_trace(self):
+        ch, rho = self.cases(1)
+        assert not rho.unit_trace
+        assert abs(apply(ch, rho).trace - 0.625) < 1e-12
+
+    def test_measure_without_oracle_equals_the_roof_composition(self):
+        from entlab.erf import erf_bounds
+        measure = g_concurrence(2)
+        assert measure.exact_mixed is None
+        ch = bit_flip_correlated(0.3)
+        rho = werner_state(0.9)
+        (_, residuals, aggregate, total, e_in), (lower, upper) = \
+            composed_mixed(ch, rho, measure)
+        rep = verify_evolution(ch, rho, measure)
+        assert not rep.exact
+        assert rep.input_entanglement.hex() == e_in.hex()
+        assert hexes(rep.per_outcome_residuals) == hexes(residuals)
+        assert rep.average_output_entanglement.hex() == total.hex()
+        b = erf_bounds(ch, rho, measure)
+        assert not b.exact
+        assert (b.lower.hex(), b.upper.hex()) == (lower.hex(), upper.hex())
+
+    @pytest.mark.parametrize("rho", [werner_state(0.3), werner_state(1.0 / 3.0),
+                                     DensityMatrix(np.eye(4) / 8, (2, 2), unit_trace=False)],
+                             ids=["werner0.3", "werner1/3", "subnormalized"])
+    def test_separable_mixed_input_is_rejected(self, rho):
+        from entlab.erf import erf_bounds
+        ch = random_separable_channel((2, 2), 3, RNG.child(25).generator())
+        with pytest.raises(ValueError, match="input entanglement vanishes"):
+            verify_evolution(ch, rho, concurrence())
+        with pytest.raises(ValueError, match="input entanglement vanishes"):
+            erf_bounds(ch, rho, concurrence())
+
+    def test_state_dims_must_match(self):
+        rho = random_density((4,), 2, RNG.child(26).generator())
+        with pytest.raises(ValueError, match="state dims do not match channel dims"):
+            verify_evolution(identity_channel((2, 2)), rho, concurrence())
 
 
 class TestRandomUnitaryDetection:

@@ -455,6 +455,25 @@ class TestTensorBound:
         assert seed.shape == (6, 6)
         assert seed.tobytes() == expected.tobytes()
 
+    def test_extra_operators_size_the_joint_search_to_the_seed(self, monkeypatch):
+        from entlab.families import depolarizing_kraus
+        calls = []
+
+        def recording(ch, opts, initial_mixings=()):
+            calls.append((opts.extra_operators, initial_mixings))
+            return erf_minimize(ch, opts, initial_mixings)
+
+        monkeypatch.setattr(erf, "erf_minimize", recording)
+        ch = local_channel(depolarizing_kraus(0.5))
+        opts = MixingSearchOptions(extra_operators=1, restarts=1, max_iterations=20)
+        rep = tensor_bound_check([ch, ch], opts)
+        # two lists of 4 operators: the seed mixes 16 into (4 + 1)^2 = 25
+        extra, (seed,) = calls[-1]
+        assert seed.shape == (25, 16)
+        assert extra == 25 - 16
+        assert rep.ok
+        assert rep.joint_value <= math.prod(rep.local_values) + 1e-12
+
     def test_random_pairs(self):
         for i in range(3):
             g = RNG.child(9, i).generator()

@@ -7,9 +7,9 @@ import math
 import numpy as np
 import pytest
 
-from entlab.linalg import (DensityMatrix, LocalDims, PureState, _kron_stacks,
-                           determinant, kron, kron_all, partial_trace,
-                           schmidt_decompose)
+from entlab.linalg import (DensityMatrix, LocalDims, PureState, _checked_densities,
+                           _kron_stacks, determinant, kron, kron_all,
+                           partial_trace, schmidt_decompose)
 from entlab.sampling import RandomStream, ginibre, random_density
 
 RNG = RandomStream(20240811)
@@ -280,3 +280,73 @@ class TestValueTypes:
         psi = PureState(np.array([0.6, 0, 0, 0]), LocalDims((2, 2)))
         assert abs(psi.weight - 0.36) < 1e-15
         assert not psi.is_normalized
+
+
+class TestCheckedDensities:
+    """The stacked density check: each member as DensityMatrix checks it
+    alone, with DensityMatrix's messages, and the same symmetrized matrix."""
+
+    @staticmethod
+    def good(count, g, d=4):
+        return np.stack([random_density((d,), int(g.integers(1, d + 1)), g).mat
+                         for _ in range(count)])
+
+    @staticmethod
+    def bad_members():
+        skew = np.eye(4) / 4
+        skew[0, 1] = 1e-9
+        return [
+            ("finite", np.diag([np.nan, 0.5, 0.25, 0.25]).astype(complex), True),
+            ("Hermitian", skew, True),
+            ("trace must be 1", np.eye(4) / 2, True),
+            ("trace must be positive", -np.eye(4) / 4, False),
+            ("negative eigenvalue", np.diag([0.7, 0.5, -0.1, -0.1]), True),
+        ]
+
+    @pytest.mark.parametrize("kind", range(5))
+    @pytest.mark.parametrize("where", [0, 2, 4])
+    def test_bad_member_raises_the_density_matrix_message(self, kind, where):
+        match, bad, unit = self.bad_members()[kind]
+        with pytest.raises(ValueError, match=match) as alone:
+            DensityMatrix(bad, LocalDims((4,)), unit_trace=unit)
+        stack = self.good(5, RNG.child(50, kind, where).generator()).copy()
+        stack[where] = bad
+        with pytest.raises(ValueError, match=match) as stacked:
+            _checked_densities(stack, unit)
+        assert str(stacked.value) == str(alone.value)
+
+    def test_unit_trace_flag_per_member(self):
+        stack = np.stack([np.eye(4) / 4, np.eye(4) / 2]).astype(complex)
+        out = _checked_densities(stack, np.array([True, False]))
+        assert out.tobytes() == stack.tobytes()
+        with pytest.raises(ValueError, match="trace must be 1 within 1e-12, got 2.0"):
+            _checked_densities(stack, np.array([False, True]))
+        with pytest.raises(ValueError, match="trace must be 1"):
+            _checked_densities(-stack, np.array([True, False]))
+        with pytest.raises(ValueError, match="trace must be positive, got -2.0"):
+            _checked_densities(stack * [[[1.0]], [[-1.0]]], np.array([True, False]))
+        # any truthy flag asks for unit trace, as DensityMatrix always took it
+        with pytest.raises(ValueError, match="trace must be 1 within 1e-12, got 2.0"):
+            DensityMatrix(np.eye(4) / 2, LocalDims((2, 2)), unit_trace=1)
+
+    @pytest.mark.parametrize("d", [2, 4, 8, 9])
+    def test_members_equal_density_matrix_bitwise(self, d):
+        g = RNG.child(51, d).generator()
+        stack = self.good(6, g, d)
+        # members off exact Hermiticity by less than the tolerance
+        stack = stack + 1e-14 * (ginibre(d, d, g) - ginibre(d, d, g).T)
+        out = _checked_densities(stack)
+        for m, member in zip(stack, out):
+            alone = DensityMatrix(m, LocalDims((d,))).mat
+            assert member.tobytes() == alone.tobytes()
+            # the symmetrization DensityMatrix has always applied
+            assert alone.tobytes() == ((m + m.conj().T) / 2.0).tobytes()
+
+    def test_empty_stack_passes(self):
+        assert _checked_densities(np.zeros((0, 4, 4), dtype=complex)).shape == (0, 4, 4)
+
+    def test_density_matrix_shape_messages_kept(self):
+        with pytest.raises(ValueError, match="expected a matrix"):
+            DensityMatrix(np.ones(4), LocalDims((2, 2)))
+        with pytest.raises(ValueError, match="expected 4 rows, got 3"):
+            DensityMatrix(np.eye(3), LocalDims((2, 2)))

@@ -6,7 +6,8 @@ import numpy as np
 import pytest
 
 from entlab.linalg import LocalDims, PureState, kron_all
-from entlab.measures import (adjugate, concurrence, g_concurrence, measure_pure,
+from entlab.measures import (_YY, _wootters_batch, adjugate, concurrence,
+                             g_concurrence, measure_pure,
                              measure_unnormalized, polynomial_measure,
                              sl_invariance_deviation, sqrt_three_tangle,
                              wootters_concurrence)
@@ -225,6 +226,50 @@ class TestWootters:
         rho = random_density((2, 3), 2, RNG.child(6))
         with pytest.raises(ValueError, match="dims"):
             wootters_concurrence(rho)
+
+
+def wootters_alone(mat):
+    """Wootters' formula on one matrix, step by step in scalar form."""
+    w, v = np.linalg.eigh(mat)
+    root = (v * np.sqrt(np.clip(w, 0.0, None))) @ v.conj().T
+    lam = np.linalg.svd(root @ _YY @ root.conj(), compute_uv=False)
+    return float(max(0.0, lam[0] - lam[1] - lam[2] - lam[3]))
+
+
+class TestWoottersStack:
+    """The concurrence oracle runs on whole stacks; each member's value is
+    bitwise what the formula gives on that member alone."""
+
+    @staticmethod
+    def states(g):
+        from entlab.linalg import DensityMatrix
+        from entlab.sampling import random_density
+        out = [random_density((2, 2), rank, g) for rank in (1, 2, 3, 4) for _ in range(3)]
+        for _ in range(3):
+            a, b = (random_density((2,), int(g.integers(1, 3)), g).mat for _ in range(2))
+            out.append(DensityMatrix(np.kron(a, b), (2, 2)))
+        out += [werner_state(p) for p in (0.0, 1.0 / 3.0, 0.5, 0.9, 1.0)]
+        out.append(bell_state().density())
+        return out
+
+    def test_stack_members_equal_the_single_state_value(self):
+        for i in range(10):
+            states = self.states(RNG.child(40, i).generator())
+            stacked = _wootters_batch(np.stack([rho.mat for rho in states]))
+            assert stacked.shape == (len(states),)
+            for rho, value in zip(states, stacked):
+                assert float(value).hex() == wootters_concurrence(rho).hex()
+                assert float(value).hex() == wootters_alone(rho.mat).hex()
+
+    def test_measure_oracle_is_the_stacked_kernel(self):
+        states = self.states(RNG.child(41).generator())
+        mats = np.stack([rho.mat for rho in states])
+        assert concurrence().exact_mixed(mats).tobytes() == _wootters_batch(mats).tobytes()
+        assert concurrence().exact_mixed(mats[:0]).shape == (0,)
+
+    def test_separable_members_score_zero(self):
+        states = self.states(RNG.child(42).generator())[12:16]
+        assert np.all(_wootters_batch(np.stack([rho.mat for rho in states])) < 1e-12)
 
 
 class TestSLInvariance:

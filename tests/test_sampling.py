@@ -107,3 +107,19 @@ def test_haar_draws_fix_the_qr_phases(draw, rows, cols):
         assert np.max(np.abs(np.tril(r, -1))) < 1e-12
         diag = np.diagonal(r)
         assert np.all(diag.real > 0) and np.max(np.abs(diag.imag)) < 1e-12
+
+
+def test_stacked_haar_unitaries_equal_one_draw_each():
+    # one block of normals and one stacked QR give each unitary bitwise as
+    # its own draw does, and leave the generator where the draws would
+    from entlab.sampling import _haar_q, _haar_unitaries
+    for d in (1, 2, 3, 4):
+        g_one = RandomStream(32, (d,)).generator()
+        g_block = RandomStream(32, (d,)).generator()
+        one = [random_haar_unitary(d, g_one) for _ in range(5)]
+        block = _haar_unitaries(g_block.standard_normal((5, 2, d, d)))
+        assert block.tobytes() == np.stack(one).tobytes()
+        assert g_one.standard_normal(3).tobytes() == g_block.standard_normal(3).tobytes()
+        # a unitary is the phase-fixed QR of a Ginibre draw
+        ref = _haar_q(ginibre(d, d, RandomStream(33, (d,))))
+        assert random_haar_unitary(d, RandomStream(33, (d,))).tobytes() == ref.tobytes()
