@@ -166,6 +166,8 @@ def cmd_verify(args):
         raise ValueError("verify needs --channel, --family or --random-channel")
     if args.trials < 1:
         raise ValueError(f"--trials must be >= 1, got {args.trials}")
+    if args.tol is not None and not args.tol >= 0.0:
+        raise ValueError(f"--tol must be a number >= 0, got {args.tol}")
     if args.mixed and measure.exact_mixed is None:
         raise ValueError(f"--mixed needs a measure with an exact mixed-state "
                          f"value; {measure.name!r} has none")
@@ -414,7 +416,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--kraus", type=int, default=4)
     p.add_argument("--mixed", action="store_true",
                    help="draw mixed inputs (needs a measure with an exact "
-                        "mixed-state value, e.g. concurrence)")
+                        "mixed-state value: concurrence or g_concurrence on 2,2)")
     p.add_argument("--trials", type=int, default=1)
     p.add_argument("--tol", type=float, default=None)
 

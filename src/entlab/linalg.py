@@ -219,33 +219,28 @@ def kron(a, b) -> np.ndarray:
 
     Satisfies ``(a kron b)[i*rb + k, j*cb + l] = a[i, j] * b[k, l]``.
     """
-    a = as_complex_matrix(a)
-    b = as_complex_matrix(b)
-    rows = a.shape[0] * b.shape[0]
-    cols = a.shape[1] * b.shape[1]
-    if max(rows, cols) > MAX_TOTAL_DIM:
-        raise ValueError(
-            f"kron result {rows}x{cols} exceeds desk-scale limit {MAX_TOTAL_DIM}"
-        )
-    return np.kron(a, b)
+    return kron_all([a, b])
 
 
 def kron_all(mats) -> np.ndarray:
     """Left-to-right tensor product of a sequence of matrices."""
-    mats = list(mats)
+    mats = [as_complex_matrix(m) for m in mats]
     if not mats:
         raise ValueError("need at least one factor")
-    out = as_complex_matrix(mats[0])
-    for m in mats[1:]:
-        out = kron(out, m)
-    return out
+    rows = math.prod(m.shape[0] for m in mats)
+    cols = math.prod(m.shape[1] for m in mats)
+    if max(rows, cols) > MAX_TOTAL_DIM:
+        raise ValueError(
+            f"kron result {rows}x{cols} exceeds desk-scale limit {MAX_TOTAL_DIM}"
+        )
+    return _kron_stacks(mats)
 
 
 def _kron_stacks(stacks) -> np.ndarray:
     """Left-to-right Kronecker product of (..., r_i, c_i) stacks, member by
     member over their shared leading axes; each member is bitwise what
-    ``np.kron`` gives for it.  Unlike :func:`kron` it neither validates nor
-    caps the size."""
+    ``np.kron`` gives for it.  Unlike :func:`kron_all` it neither validates
+    nor caps the size."""
     out = stacks[0]
     for s in stacks[1:]:
         shape = out.shape[:-2] + (out.shape[-2] * s.shape[-2], out.shape[-1] * s.shape[-1])

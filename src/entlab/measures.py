@@ -9,20 +9,20 @@ evolution identities of the channel module exact.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from typing import Callable
 
 import numpy as np
 
-from .linalg import DensityMatrix, LocalDims, PureState, _as_local_dims
+from .linalg import DensityMatrix, LocalDims, PureState, _as_local_dims, kron
 
 SIGMA_X = np.array([[0.0, 1.0], [1.0, 0.0]], dtype=np.complex128)
 SIGMA_Y = np.array([[0.0, -1.0j], [1.0j, 0.0]], dtype=np.complex128)
 SIGMA_Z = np.array([[1.0, 0.0], [0.0, -1.0]], dtype=np.complex128)
 
-# sigma_y (x) sigma_y, the symmetric bilinear form behind the two-qubit
-# concurrence.  Real-valued: [[0,0,0,-1],[0,0,1,0],[0,1,0,0],[-1,0,0,0]].
-_YY = np.kron(SIGMA_Y, SIGMA_Y).real.astype(np.complex128)
+# sigma_y (x) sigma_y, the symmetric bilinear form of Wootters' closed form.
+# Real-valued: [[0,0,0,-1],[0,0,1,0],[0,1,0,0],[-1,0,0,0]].
+_YY = kron(SIGMA_Y, SIGMA_Y).real.astype(np.complex128)
 
 _FD_STEP = 1e-6
 SL_INVARIANCE_TRIALS = 20
@@ -77,21 +77,6 @@ def _fd_poly_grad(poly, psi: np.ndarray) -> np.ndarray:
     return out
 
 
-def concurrence() -> Measure:
-    """Wootters concurrence of two qubits, |<psi*| sigma_y x sigma_y |psi>|."""
-    def poly_batch(rows):
-        return np.einsum("ij,jk,ik->i", rows, _YY, rows)
-
-    def grad_batch(rows):
-        return 2.0 * rows @ _YY.T
-
-    # the oracle is the stacked kernel itself: rebinding wootters_concurrence
-    # (say, to profile it) reaches single-state calls only
-    return Measure("concurrence", LocalDims((2, 2)), degree=2, scale=1.0,
-                   poly_batch=poly_batch, poly_grad_batch=grad_batch,
-                   exact_mixed=_wootters_batch)
-
-
 def adjugate(mats: np.ndarray) -> np.ndarray:
     """Adjugates of an (n, d, d) stack, each with adj(M) @ M = det(M) I,
     from explicit cofactors, so singular members need no other branch."""
@@ -120,7 +105,8 @@ def g_concurrence(d: int) -> Measure:
     """G-concurrence on d x d bipartite states, d * |det M|^(2/d).
 
     M is the d x d coefficient matrix of the state.  The scale d makes the
-    maximally entangled state score 1, and d=2 reproduces the concurrence.
+    maximally entangled state score 1; d=2 is the concurrence, with Wootters'
+    closed form as its exact mixed-state value.
     """
     if d < 2:
         raise ValueError("G-concurrence needs local dimension >= 2")
@@ -133,9 +119,22 @@ def g_concurrence(d: int) -> Measure:
         adj = adjugate(rows.reshape(-1, d, d))
         return adj.transpose(0, 2, 1).reshape(rows.shape[0], -1)
 
+    # for d = 2 the oracle is the stacked kernel itself: rebinding
+    # wootters_concurrence (say, to profile it) reaches single-state calls only
     return Measure(f"g_concurrence({d})", LocalDims((d, d)), degree=d,
                    scale=float(d), poly_batch=poly_batch,
-                   poly_grad_batch=grad_batch)
+                   poly_grad_batch=grad_batch,
+                   exact_mixed=_wootters_batch if d == 2 else None)
+
+
+def concurrence() -> Measure:
+    """Wootters concurrence of two qubits, |<psi*| sigma_y x sigma_y |psi>|.
+
+    This is the d = 2 G-concurrence 2 |det M| under its own name: the
+    polynomial is det M with scale 2, and the exact mixed-state value is
+    Wootters' closed form.
+    """
+    return replace(g_concurrence(2), name="concurrence")
 
 
 # 2x2x2 hyperdeterminant in Cayley form.  With amplitudes indexed a[ijk] ->
@@ -272,8 +271,8 @@ def _wootters_batch(mats: np.ndarray) -> np.ndarray:
 def wootters_concurrence(rho: DensityMatrix) -> float:
     """Closed-form two-qubit mixed-state concurrence, the exact convex roof
     of the pure-state concurrence (Wootters, PRL 80, 2245 (1998)) and the
-    oracle for the roof optimizer; the one-member case of the concurrence
-    measure's ``exact_mixed``.
+    oracle for the roof optimizer; the one-member case of the two-qubit
+    G-concurrence's ``exact_mixed``.
     """
     if rho.dims.dims != (2, 2):
         raise ValueError(f"wootters_concurrence needs dims (2, 2), got {rho.dims.dims}")

@@ -127,6 +127,8 @@ def _ensemble_search(rho: DensityMatrix, stages, opts, gradient_tolerance: float
     is kept, with its normalized ensemble; ties go to the lowest index."""
     if opts.restarts < 1:
         raise ValueError(f"restarts must be >= 1, got {opts.restarts}")
+    if opts.max_iterations < 0:
+        raise ValueError(f"max_iterations must be >= 0, got {opts.max_iterations}")
     lam, vecs = _eigenbasis(rho)
     rank = lam.size
     basis = np.sqrt(lam)[:, None] * vecs.T

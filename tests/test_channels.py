@@ -2,6 +2,7 @@
 factor and the outcome-by-outcome evolution identity."""
 
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -435,6 +436,23 @@ class TestMixedStack:
             assert b.exact
             assert (b.lower.hex(), b.upper.hex()) == (lower.hex(), upper.hex())
 
+    def test_two_qubit_g_concurrence_is_exact_and_equals_the_concurrence(self):
+        from entlab.erf import erf_bounds
+        for i in range(24):
+            ch, rho = self.cases(i)
+            rep = verify_evolution(ch, rho, g_concurrence(2))
+            ref = verify_evolution(ch, rho, concurrence())
+            assert rep.exact
+            assert rep.input_entanglement.hex() == ref.input_entanglement.hex()
+            assert hexes(rep.per_outcome_residuals) == hexes(ref.per_outcome_residuals)
+            assert rep.aggregate_residual.hex() == ref.aggregate_residual.hex()
+            assert rep.average_output_entanglement.hex() == \
+                ref.average_output_entanglement.hex()
+            b = erf_bounds(ch, rho, g_concurrence(2))
+            c = erf_bounds(ch, rho, concurrence())
+            assert b.exact
+            assert (b.lower.hex(), b.upper.hex()) == (c.lower.hex(), c.upper.hex())
+
     def test_null_branches_are_zero(self):
         ch, rho = self.cases(0)
         rep = verify_evolution(ch, rho, concurrence())
@@ -450,7 +468,7 @@ class TestMixedStack:
 
     def test_measure_without_oracle_equals_the_roof_composition(self):
         from entlab.erf import erf_bounds
-        measure = g_concurrence(2)
+        measure = replace(g_concurrence(2), exact_mixed=None)
         assert measure.exact_mixed is None
         ch = bit_flip_correlated(0.3)
         rho = werner_state(0.9)

@@ -123,6 +123,13 @@ class TestExitCodes:
         assert run(["verify", "--random-channel", "--trials", "0"]) == 2
         assert "--trials" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("tol", ["nan", "-1"])
+    def test_tolerance_no_trial_can_meet_is_usage_error(self, tol, capsys):
+        assert run(["verify", "--random-channel", "--tol", tol]) == 2
+        errors = [line for line in capsys.readouterr().err.splitlines()
+                  if line.startswith("entlab: ")]
+        assert len(errors) == 1 and "--tol" in errors[0]
+
     def test_search_that_gives_up_exits_four(self, monkeypatch, capsys):
         # every drawn input looks separable, so the input search gives up
         monkeypatch.setattr("entlab.cli.measure_pure", lambda measure, psi: 0.0)
@@ -138,8 +145,10 @@ class TestExitCodes:
         (["breaking", "--family", "depolarizing", "--probes", "-1"], "probes"),
         (["erf", "--family", "amplitude-damping", "--dims", "2", "--max-iterations", "-1"],
          "max_iterations"),
+        (["roof", "--state-family", "werner", "--p", "0.9", "--restarts", "2",
+          "--max-iterations", "-5"], "max_iterations"),
     ], ids=["erf-iterations", "roof-restarts", "erf-restarts", "breaking-probes",
-            "one-party-erf-iterations"])
+            "one-party-erf-iterations", "roof-iterations"])
     def test_out_of_range_search_count_is_usage_error(self, args, name, capsys):
         assert run(args) == 2
         errors = [line for line in capsys.readouterr().err.splitlines()
@@ -263,6 +272,15 @@ class TestOtherCommands:
         assert abs(s["value"] - 0.85) < 1e-4
         assert s["oracle_deviation"] < 1e-4
 
+    def test_roof_of_werner_checks_the_g_concurrence_against_wootters(self, tmp_path):
+        out = tmp_path / "w.json"
+        code = run(["roof", "--state-family", "werner", "--p", "0.9",
+                    "--measure", "g_concurrence", "--restarts", "6",
+                    "--out", str(out)])
+        assert code == 0
+        s = read_report(out)["summary"]
+        assert s["oracle_deviation"] < 1e-4
+
     def test_roof_echoes_the_dims_of_the_state(self, tmp_path):
         out = tmp_path / "g.json"
         code = run(["roof", "--state-family", "ghz", "--measure", "sqrt_three_tangle",
@@ -356,6 +374,13 @@ class TestUntracedModes:
         out = tmp_path / "v.json"
         assert run(["verify", "--random-channel", "--dims", "3,3", "--measure",
                     "g_concurrence", "--trials", "2", "--out", str(out)]) == 0
+        assert read_report(out)["summary"]["pass"] is True
+
+    def test_verify_mixed_with_the_two_qubit_g_concurrence(self, tmp_path):
+        out = tmp_path / "v.json"
+        assert run(["verify", "--random-channel", "--mixed", "--dims", "2,2",
+                    "--measure", "g_concurrence", "--trials", "5",
+                    "--out", str(out)]) == 0
         assert read_report(out)["summary"]["pass"] is True
 
     def test_state_dims_given_as_a_string_exit_two(self, tmp_path, capsys):

@@ -267,6 +267,13 @@ class TestWoottersStack:
         assert concurrence().exact_mixed(mats).tobytes() == _wootters_batch(mats).tobytes()
         assert concurrence().exact_mixed(mats[:0]).shape == (0,)
 
+    def test_two_qubit_g_concurrence_has_the_wootters_oracle(self):
+        states = self.states(RNG.child(43).generator())
+        stacked = g_concurrence(2).exact_mixed(np.stack([rho.mat for rho in states]))
+        assert [float(v).hex() for v in stacked] == \
+            [wootters_concurrence(rho).hex() for rho in states]
+        assert g_concurrence(3).exact_mixed is None
+
     def test_separable_members_score_zero(self):
         states = self.states(RNG.child(42).generator())[12:16]
         assert np.all(_wootters_batch(np.stack([rho.mat for rho in states])) < 1e-12)
@@ -316,9 +323,8 @@ class TestPolynomialPlugin:
             assert abs(measure_pure(custom, psi) - measure_pure(builtin, psi)) < 1e-12
 
     def test_finite_difference_gradient_matches_the_builtin(self):
-        yy = np.kron(np.array([[0, -1j], [1j, 0]]), np.array([[0, -1j], [1j, 0]])).real
-        custom = polynomial_measure(lambda psi: complex(psi @ yy @ psi), degree=2,
-                                    dims=(2, 2), name="custom")
+        custom = polynomial_measure(lambda psi: complex(psi[0] * psi[3] - psi[1] * psi[2]),
+                                    degree=2, dims=(2, 2), name="custom")
         g = RNG.child(14).generator()
         rows = g.standard_normal((6, 4)) + 1j * g.standard_normal((6, 4))
         fd = custom.eval_grad_batch(rows)
