@@ -9,6 +9,7 @@ evolution identities of the channel module exact.
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass, replace
 from typing import Callable
 
@@ -88,17 +89,25 @@ def adjugate(mats: np.ndarray) -> np.ndarray:
         out[:, 0, 1] = -mats[:, 0, 1]
         out[:, 1, 0] = -mats[:, 1, 0]
         return out
-    # keep[i] lists every index but i; minors[k, i, j] drops row i and
-    # column j of member k, and adj(M)[j, i] is its signed determinant
-    keep = np.array([[c for c in range(d) if c != i] for i in range(d)])
-    minors = mats[:, keep[:, None, :, None], keep[None, :, None, :]]
+    rows, cols, sign = _cofactor_tables(d)
+    minors = mats[:, rows, cols]
     if d == 3:
         # 2 x 2 minors in closed form, cheaper than LAPACK's det per minor
         dets = minors[..., 0, 0] * minors[..., 1, 1] - minors[..., 0, 1] * minors[..., 1, 0]
     else:
         dets = np.linalg.det(minors)
-    sign = (-1) ** np.add.outer(np.arange(d), np.arange(d))
     return (sign * dets).transpose(0, 2, 1)
+
+
+@functools.cache
+def _cofactor_tables(d: int):
+    """Index tables and cofactor signs of :func:`adjugate` for d x d
+    matrices: M[rows, cols][i, j] is M with row i and column j dropped, and
+    adj(M)[j, i] is its determinant times sign[i, j]."""
+    # keep[i] lists every index but i
+    keep = np.array([[c for c in range(d) if c != i] for i in range(d)])
+    sign = (-1) ** np.add.outer(np.arange(d), np.arange(d))
+    return keep[:, None, :, None], keep[None, :, None, :], sign
 
 
 def g_concurrence(d: int) -> Measure:
@@ -151,8 +160,8 @@ _QUAD = np.array([(3, 5, 6), (2, 4, 7), (1, 4, 7), (0, 5, 6),
 
 def _hyperdet_batch(rows: np.ndarray) -> np.ndarray:
     a = rows
-    p = np.stack([a[:, 0] * a[:, 7], a[:, 1] * a[:, 6],
-                  a[:, 2] * a[:, 5], a[:, 3] * a[:, 4]], axis=1)
+    # the pair products a0 a7, a1 a6, a2 a5, a3 a4 in one multiply
+    p = a[:, :4] * a[:, 7:3:-1]
     s = p.sum(axis=1)
     d3 = a[:, 0] * a[:, 3] * a[:, 5] * a[:, 6] + a[:, 1] * a[:, 2] * a[:, 4] * a[:, 7]
     return 2.0 * (p * p).sum(axis=1) - s * s + 4.0 * d3

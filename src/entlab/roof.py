@@ -67,7 +67,8 @@ def _ensemble_objective(measure: Measure, basis: np.ndarray, mu: float = 0.0):
     sees the members of every restart as one stack of rows.  A positive
     ``mu`` replaces |f|**(2/k) by the smooth surrogate
     (|f|^2 + mu^2)**(1/k) - mu**(2/k), which removes the kink at f = 0; the
-    mu = 0 objective is the roof itself.
+    mu = 0 objective is the roof itself, evaluated without the two zero
+    terms (|f|^2 >= +0, so adding and subtracting +0 changes no bit).
     """
     c = measure.scale
     k = measure.degree
@@ -77,8 +78,12 @@ def _ensemble_objective(measure: Measure, basis: np.ndarray, mu: float = 0.0):
         n, m = v.shape[:2]
         states = (v @ basis).reshape(n * m, -1)
         f = measure.eval_poly_batch(states)
-        base = (f * f.conj()).real + mu * mu
-        terms = base ** (1.0 / k) - mu ** (2.0 / k)
+        base = (f * f.conj()).real
+        if mu:
+            base = base + mu * mu
+            terms = base ** (1.0 / k) - mu ** (2.0 / k)
+        else:
+            terms = base ** (1.0 / k)
         value = c * terms.reshape(n, m).sum(axis=1)
         if not need_grad:
             return value, None
@@ -148,9 +153,12 @@ def _ensemble_search(rho: DensityMatrix, stages, opts, gradient_tolerance: float
 
 
 def _smoothing_stages(measure: Measure, total: int):
-    """Graduated smoothing: polish on the exact objective after two warm stages."""
+    """Graduated smoothing: polish on the exact objective after two warm
+    stages.  The stages split the budget as a quarter, a quarter and the
+    rest, so they run at most ``total`` iterations together; a budget of 0
+    values the starts and takes no step."""
     quarter = total // 4
-    return [(partial(_ensemble_objective, measure, mu=mu), max(1, budget))
+    return [(partial(_ensemble_objective, measure, mu=mu), budget)
             for mu, budget in ((1e-2, quarter), (1e-5, quarter),
                                (0.0, total - 2 * quarter))]
 

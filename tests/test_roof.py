@@ -11,6 +11,7 @@ from entlab.measures import (concurrence, g_concurrence, measure_pure,
                              sqrt_three_tangle, wootters_concurrence)
 from entlab.roof import (RoofOptions, RoofResult, convex_roof, _ensemble_objective,
                          _ensemble_search)
+from entlab import roof as roof_module
 from entlab.families import werner_state
 from entlab.sampling import RandomStream, random_density, random_pure_state
 from entlab.stiefel import minimize_on_stiefel, qf_retract
@@ -195,10 +196,82 @@ def test_schmidt_search_keeps_its_lowest_restart(seed, target, values, best, ite
 
 
 def test_negative_iteration_budget_is_refused():
-    # the smoothing stages give each stage at least one iteration, so a
-    # negative budget would otherwise run three
+    # the smoothing stages would pass a negative share of the budget on to
+    # the descent, which refuses it with a message about its own argument
     with pytest.raises(ValueError, match="max_iterations must be >= 0, got -5"):
         convex_roof(concurrence(), werner_state(0.9), RoofOptions(max_iterations=-5))
     with pytest.raises(ValueError, match="max_iterations must be >= 0, got -1"):
         schmidt_number_upper(_product_mixture(0, 1), 1,
                              SchmidtSearchOptions(max_iterations=-1))
+
+
+@pytest.mark.parametrize("budget", [0, 1, 2, 3])
+def test_a_small_budget_is_not_exceeded(budget):
+    rho = werner_state(0.9)
+    res = convex_roof(concurrence(), rho, RoofOptions(restarts=1, max_iterations=budget))
+    assert res.iterations <= budget
+    weights = np.array([p for p, _ in res.ensemble])
+    rebuilt = sum(p * np.outer(s.amps, s.amps.conj()) for p, s in res.ensemble)
+    assert abs(weights.sum() - 1.0) < 1e-10
+    assert np.linalg.norm(rebuilt - rho.mat) < 1e-10
+
+
+def _descent_calls(monkeypatch):
+    """Per descent: value calls, gradient calls, and the isometries that
+    each kind of call evaluated."""
+    log = []
+
+    def counted(fun, v0, **kwargs):
+        calls = [0, 0, 0, 0]
+
+        def objective(v, need_grad):
+            calls[need_grad] += 1
+            calls[2 + need_grad] += v.shape[0]
+            return fun(v, need_grad)
+
+        result = minimize_on_stiefel(objective, v0, **kwargs)
+        log.append(tuple(calls))
+        return result
+
+    monkeypatch.setattr(roof_module, "minimize_on_stiefel", counted)
+    return log
+
+
+# (value calls, gradient calls, isometries in value calls, isometries in
+# gradient calls) of each descent of three seeded searches: the pattern of
+# objective calls that the line search makes, recorded before its
+# bookkeeping was rewritten.  A change to that bookkeeping keeps it.
+CALL_PATTERNS = {
+    "g_concurrence(3)": [(84, 51, 600, 204), (88, 51, 768, 204), (32, 18, 294, 57)],
+    "sqrt_three_tangle": [(88, 51, 860, 306), (139, 51, 1712, 306), (22, 13, 382, 67)],
+    "schmidt": [(35, 33, 142, 68)],
+}
+
+
+@pytest.mark.parametrize("name", sorted(CALL_PATTERNS))
+def test_descents_keep_their_call_pattern(name, monkeypatch):
+    rng = RandomStream(16180)
+    log = _descent_calls(monkeypatch)
+    if name == "g_concurrence(3)":
+        res = convex_roof(g_concurrence(3), random_density((3, 3), 2, rng.child(8, 0)),
+                          RoofOptions(restarts=4, max_iterations=200, seed=1))
+        assert res.iterations == 457
+    elif name == "sqrt_three_tangle":
+        res = convex_roof(sqrt_three_tangle(), random_density((2, 2, 2), 2, rng.child(8, 1)),
+                          RoofOptions(restarts=6, max_iterations=200, seed=2))
+        assert res.iterations == 667
+    else:
+        g = rng.child(8, 2).generator()
+        mat = np.zeros((9, 9), dtype=complex)
+        for w in g.dirichlet(np.ones(2)):
+            a = g.standard_normal((3, 2)) + 1j * g.standard_normal((3, 2))
+            b = g.standard_normal((2, 3)) + 1j * g.standard_normal((2, 3))
+            v = (a @ b).reshape(-1)
+            v /= np.linalg.norm(v)
+            mat += w * np.outer(v, v.conj())
+        opts = SchmidtSearchOptions(restarts=3, max_iterations=100, seed=3)
+        stage = (partial(_tail_objective, target=2, d_a=3, d_b=3), opts.max_iterations)
+        res = _ensemble_search(DensityMatrix((mat + mat.conj().T) / 2, (3, 3)), [stage],
+                               opts, 1e-10, target=2)
+        assert res.iterations == 68
+    assert log == CALL_PATTERNS[name]

@@ -93,9 +93,29 @@ def uphill_case():
     return fun, np.stack(starts), 60
 
 
+def ladder_exits_case():
+    """A stiff quadratic whose restarts leave their first line search by
+    every exit: restart 0 stalls, 1 takes its full trial step, 2 its half
+    in the same call and 3 a step from a later run of halvings."""
+    target = np.eye(4, 2, dtype=complex)
+    weights = np.array([0.1, 0.1, 4.0, 4.0])[:, None]
+    g = RNG.child(8).generator()
+    push = 1e-3 * (g.standard_normal((4, 2)) + 1j * g.standard_normal((4, 2)))
+
+    def fun(v, need_grad):
+        diff = v - target
+        weighted = weights * diff
+        return _vdots(diff, weighted), (2.0 * weighted + push if need_grad else None)
+
+    near = qf_retract((target + 0.1 * (random_isometry(4, 2, RNG.child(9)) - target))[None])[0]
+    starts = [target, random_isometry(4, 2, RNG.child(8, 0)),
+              random_isometry(4, 2, RNG.child(8, 2)), near]
+    return fun, np.stack(starts), 60
+
+
 @pytest.mark.parametrize("case", [separable_concurrence_case, tangle_case,
                                   schmidt_tail_case, g_concurrence_case, erf_case,
-                                  uphill_case])
+                                  uphill_case, ladder_exits_case])
 def test_a_stack_runs_as_its_restarts_one_at_a_time(case):
     fun, starts, budget = case()
     stacked = minimize_on_stiefel(fun, starts, max_iterations=budget)
@@ -193,3 +213,33 @@ def test_a_single_isometry_is_refused():
     fun, starts, _ = tangle_case()
     with pytest.raises(ValueError, match="stack"):
         minimize_on_stiefel(fun, starts[0])
+
+
+def test_the_ladder_exits_case_takes_every_exit_in_its_first_step():
+    """The first step's trial step is 2 for every restart; which rung each
+    restart took shows in its value calls and its first accepted value."""
+    fun, starts, _ = ladder_exits_case()
+    exits = []
+    for v0 in starts:
+        value_calls = []
+
+        def counted(v, need_grad):
+            value_calls.append(not need_grad)
+            return fun(v, need_grad)
+
+        res = minimize_on_stiefel(counted, v0[None], max_iterations=1)
+        if res.stop_reasons[0] == "stalled":
+            exits.append("stalled")
+            continue
+        gt = project_tangent(v0[None], fun(v0[None], True)[1])
+        first = res.histories[0][1]
+        if sum(value_calls) > 1:
+            exits.append("deeper")
+        elif first == fun(qf_retract(v0[None] - 2.0 * gt), False)[0][0]:
+            exits.append("full")
+        elif first == fun(qf_retract(v0[None] - 1.0 * gt), False)[0][0]:
+            exits.append("half")
+        else:
+            exits.append("unexplained")
+    assert exits == ["stalled", "full", "half", "deeper"]
+
