@@ -11,7 +11,6 @@ objective.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import partial
 
 import numpy as np
 
@@ -74,24 +73,20 @@ class SchmidtSearchOptions:
     seed: int = 0
 
 
-def _tail_objective(basis: np.ndarray, target: int, d_a: int, d_b: int):
-    """Summed squared Schmidt tail beyond index ``target`` of the members
-    ``v[i] @ basis`` of each restart i, and its gradient in the stack of
-    mixing isometries v."""
-    basis_h = basis.conj().T
+def _tail_objective(target: int, d_a: int, d_b: int):
+    """Summed squared Schmidt tail beyond index ``target`` of the members of
+    each restart, and its gradient in the member rows."""
 
-    def fun(v, need_grad):
-        n, m = v.shape[:2]
-        mats = (v @ basis).reshape(n * m, d_a, d_b)
-        uu, ss, vvh = np.linalg.svd(mats, full_matrices=False)
-        tail2 = np.sum(ss[:, target:] ** 2, axis=1).reshape(n, m)
+    def fun(rows, n, need_grad):
+        uu, ss, vvh = np.linalg.svd(rows.reshape(-1, d_a, d_b), full_matrices=False)
+        tail2 = np.sum(ss[:, target:] ** 2, axis=1).reshape(n, -1)
         # summed member by member, in order
         value = np.add.accumulate(tail2, axis=1)[:, -1]
         if not need_grad:
             return value, None
         # gradient of the tail energy is the tail part of the matrix
         tail_mats = (uu[:, :, target:] * ss[:, None, target:]) @ vvh[:, target:, :]
-        return value, tail_mats.reshape(n, m, -1) @ basis_h
+        return value, tail_mats.reshape(rows.shape)
 
     return fun
 
@@ -118,8 +113,7 @@ def schmidt_number_upper(rho: DensityMatrix, target: int,
         ens = tuple((float(l), PureState(v, rho.dims)) for l, v in zip(lam, vecs.T))
         return SchmidtNumberCertificate(True, 0.0, ens)
 
-    stage = (partial(_tail_objective, target=target, d_a=d_a, d_b=d_b),
-             opts.max_iterations)
+    stage = (_tail_objective(target, d_a, d_b), opts.max_iterations)
     result = _ensemble_search(rho, [stage], opts, 1e-10, target=target)
 
     max_tail = 0.0
@@ -194,6 +188,8 @@ def r_peb_test(local_ops, target: int, probes: int = 20,
     """
     if probes < 0:
         raise ValueError(f"probes must be >= 0, got {probes}")
+    if not len(local_ops):
+        raise ValueError("local Kraus list needs at least one Kraus operator")
     d = as_complex_matrix(local_ops[0]).shape[0]
     # (Phi x I) on the d x d doubled space; raises if the local list does not close
     extended = embed_one_sided(local_ops, 0, (d, d))

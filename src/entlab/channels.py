@@ -355,6 +355,8 @@ def embed_one_sided(local_ops, party: int, dims) -> SeparableChannel:
         raise ValueError(f"party {party} out of range for {dims.n_parties} parties")
     d = dims[party]
     local = [as_complex_matrix(k, d, d) for k in local_ops]
+    if not local:
+        raise ValueError("local Kraus list needs at least one Kraus operator")
     residual = _closure_residual(local, d)
     if residual >= CLOSURE_TOL:
         raise ValueError(

@@ -20,7 +20,6 @@ minimum; infeasible searches are reported, never silently rounded.
 
 from __future__ import annotations
 
-import functools
 import math
 from dataclasses import dataclass, replace
 
@@ -182,28 +181,24 @@ def _mix(ks: np.ndarray, u: np.ndarray) -> np.ndarray:
     return np.einsum("...jm,mab->...jab", u, ks)
 
 
-def _search_objective(basis: np.ndarray, dims, weight: float):
-    """The ``g_concurrence(D)`` roof objective of the Choi rows ``basis``, the
-    |det K~|^(2/D) sum, plus ``weight`` times the summed separability terms of
-    :func:`_split_terms`, which are scale-free and so are taken on the
-    members K~ / sqrt(D) of a stack of mixing isometries.
+def _search_objective(dims, weight: float):
+    """The ``g_concurrence(D)`` roof objective of the members K~ / sqrt(D),
+    the |det K~|^(2/D) sum, plus ``weight`` times the summed separability
+    terms of :func:`_split_terms`, which are scale-free and so are taken on
+    the members themselves; their gradients accumulate into the roof's
+    gradient rows.
     """
     d = math.prod(dims)
-    roof = _ensemble_objective(g_concurrence(d), basis)
-    basis_h = basis.conj().T
+    roof = _ensemble_objective(g_concurrence(d))
 
-    def fun(u, need_grad):
-        restarts, j = u.shape[:2]
-        value, grad = roof(u, need_grad)
-        kt = (u @ basis).reshape(restarts * j, d, d)
-        grads = np.zeros_like(kt) if need_grad else None
+    def fun(rows, n, need_grad):
+        value, grad = roof(rows, n, need_grad)
+        kt = rows.reshape(-1, d, d)
+        grads = grad.reshape(kt.shape) if need_grad else None
         terms = _split_terms(kt, dims, grads, weight)
         # summed operator by operator, cut by cut, in order
-        penalty = np.add.accumulate(terms.reshape(restarts, -1), axis=1)[:, -1]
-        value = value + weight * penalty
-        if not need_grad:
-            return value, None
-        return value, grad + grads.reshape(restarts, j, -1) @ basis_h
+        penalty = np.add.accumulate(terms.reshape(n, -1), axis=1)[:, -1]
+        return value + weight * penalty, (grads.reshape(rows.shape) if need_grad else None)
 
     return fun
 
@@ -305,8 +300,8 @@ def _search_mixings(channel: SeparableChannel, opts: MixingSearchOptions,
     isometries = np.eye(j, m, dtype=np.complex128)[None]
 
     if _cuts(len(dims)):
-        stages = [(functools.partial(_search_objective, dims=dims, weight=w),
-                   opts.max_iterations) for w in PENALTY_WEIGHTS]
+        stages = [(_search_objective(dims, w), opts.max_iterations)
+                  for w in PENALTY_WEIGHTS]
     else:
         # no cut, no penalty: the roof's smoothing over the same budget
         stages = _smoothing_stages(g_concurrence(d),

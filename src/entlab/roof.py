@@ -13,15 +13,18 @@ decompositions behind the Schmidt-number certificate in :mod:`entlab.breaking`
 and, on a channel's Choi state, the Kraus representations behind the
 resilience factor in :mod:`entlab.erf`.  Restarts are independent given their
 derived streams and run together as one (restarts, M, r) stack through the
-stacked descent of :mod:`entlab.stiefel`, so ensemble objectives take a stack
-of isometries and return one value per restart; the minimum is reduced
-deterministically by restart index.
+stacked descent of :mod:`entlab.stiefel`.  Search objectives see only member
+rows: ``fun(rows, n, need_grad)`` takes the n * M members of n restarts as
+rows and returns one value per restart and, when asked, one gradient row per
+member; :func:`_isometry_objective` alone maps isometries to members and
+pulls the gradients back.  The minimum is reduced deterministically by
+restart index.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import partial
+from functools import wraps
 
 import numpy as np
 
@@ -59,66 +62,78 @@ class RoofResult:
         return self.restart_values[self.best_restart_index]
 
 
-def _ensemble_objective(measure: Measure, basis: np.ndarray, mu: float = 0.0):
-    """Roof objective and gradient of a stack of mixing isometries.
-
-    basis is the r x D matrix whose j-th row is sqrt(lam_j) e_j^T, so the
-    ensemble members of restart i are the rows of V[i] @ basis; the measure
-    sees the members of every restart as one stack of rows.  A positive
-    ``mu`` replaces |f|**(2/k) by the smooth surrogate
-    (|f|^2 + mu^2)**(1/k) - mu**(2/k), which removes the kink at f = 0; the
-    mu = 0 objective is the roof itself, evaluated without the two zero
-    terms (|f|^2 >= +0, so adding and subtracting +0 changes no bit).
+def _ensemble_objective(measure: Measure, mu: float = 0.0):
+    """Roof objective and gradient of the members of n restarts: their
+    measure terms summed per restart, the measure seeing every member as one
+    stack of rows.  A positive ``mu`` replaces |f|**(2/k) by the smooth
+    surrogate (|f|^2 + mu^2)**(1/k) - mu**(2/k), which removes the kink at
+    f = 0; the mu = 0 objective is the roof itself, evaluated without the two
+    zero terms (|f|^2 >= +0, so adding and subtracting +0 changes no bit).
     """
     c = measure.scale
     k = measure.degree
-    basis_h = basis.conj().T
 
-    def fun(v, need_grad):
-        n, m = v.shape[:2]
-        states = (v @ basis).reshape(n * m, -1)
-        f = measure.eval_poly_batch(states)
+    def fun(rows, n, need_grad):
+        f = measure.eval_poly_batch(rows)
         base = (f * f.conj()).real
         if mu:
             base = base + mu * mu
             terms = base ** (1.0 / k) - mu ** (2.0 / k)
         else:
             terms = base ** (1.0 / k)
-        value = c * terms.reshape(n, m).sum(axis=1)
+        value = c * terms.reshape(n, -1).sum(axis=1)
         if not need_grad:
             return value, None
-        grads = measure.eval_grad_batch(states)
+        grads = measure.eval_grad_batch(rows)
         pw = np.power(base, 1.0 / k - 1.0, out=np.zeros_like(base), where=base > POLY_ZERO)
         coeff = (c / k) * pw * f
-        w = coeff[:, None] * grads.conj()
-        return value, w.reshape(n, m, -1) @ basis_h
+        return value, coeff[:, None] * grads.conj()
 
     return fun
 
 
+def _isometry_objective(fun, basis: np.ndarray):
+    """The objective of a stack of mixing isometries V from the row
+    objective ``fun``: restart i's members are the rows of V[i] @ basis, and
+    their gradient rows pull back through basis^dag.  Named after ``fun``,
+    so that it reads as the objective of ``fun``'s module."""
+    basis_h = basis.conj().T
+
+    @wraps(fun)
+    def on_isometries(v, need_grad):
+        n, m = v.shape[:2]
+        value, grad = fun((v @ basis).reshape(n * m, -1), n, need_grad)
+        return value, (grad.reshape(n, m, -1) @ basis_h if need_grad else None)
+
+    return on_isometries
+
+
 def _eigenbasis(rho: DensityMatrix) -> tuple[np.ndarray, np.ndarray]:
     """Eigenvalues of rho above 1e-12 * max(1, lam_max), with their
-    eigenvectors as columns."""
+    eigenvectors as columns; a rho with none has no ensemble to search."""
     lam, vecs = np.linalg.eigh(rho.mat)
     keep = lam > EIGENVALUE_CUT * max(1.0, lam[-1])
+    if not keep.any():
+        raise ValueError(f"no eigenvalue of rho above the cut {EIGENVALUE_CUT:g} * max(1, lam_max)")
     return lam[keep], vecs[:, keep]
 
 
 def _search_core(basis: np.ndarray, members: int, stages, opts,
                  gradient_tolerance: float, extra_starts=(), callback=None):
-    """Run the ``(make_objective, budget)`` stages, ``make_objective(basis)``
-    being the stacked objective of members x rows isometries, on one stack:
-    the Haar-random isometries of ``stream.child(j)``, j < ``opts.restarts``,
-    then ``extra_starts``; ``callback`` follows each accepted step.  Returns
-    the last :class:`StiefelResult` and the iterations summed over stages."""
+    """Run the ``(row_objective, budget)`` stages on one stack of members x
+    rows isometries, each stage's row objective seeing the members' rows
+    through :func:`_isometry_objective`: the Haar-random isometries of
+    ``stream.child(j)``, j < ``opts.restarts``, then ``extra_starts``;
+    ``callback`` follows each accepted step.  Returns the last
+    :class:`StiefelResult` and the iterations summed over stages."""
     stream = RandomStream(opts.seed)
     points = np.stack([random_isometry(members, basis.shape[0], stream.child(j))
                        for j in range(opts.restarts)] + list(extra_starts))
     iterations = 0
-    for make, budget in stages:
-        res = minimize_on_stiefel(make(basis), points, max_iterations=budget,
-                                  gradient_tolerance=gradient_tolerance,
-                                  callback=callback)
+    for fun, budget in stages:
+        res = minimize_on_stiefel(_isometry_objective(fun, basis), points,
+                                  max_iterations=budget, callback=callback,
+                                  gradient_tolerance=gradient_tolerance)
         points = res.points
         iterations += res.iterations
     return res, iterations
@@ -158,7 +173,7 @@ def _smoothing_stages(measure: Measure, total: int):
     rest, so they run at most ``total`` iterations together; a budget of 0
     values the starts and takes no step."""
     quarter = total // 4
-    return [(partial(_ensemble_objective, measure, mu=mu), budget)
+    return [(_ensemble_objective(measure, mu), budget)
             for mu, budget in ((1e-2, quarter), (1e-5, quarter),
                                (0.0, total - 2 * quarter))]
 

@@ -28,6 +28,7 @@ choices of rung, and the stop tests, are made on Python lists.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from itertools import repeat
 
 import numpy as np
 
@@ -225,12 +226,14 @@ def minimize_on_stiefel(fun, v0: np.ndarray, *, max_iterations: int = 300,
     step = np.ones(n)
     prev_v = prev_gt = None
 
-    def retire(mask, reason, it):
+    def retire(mask, why, it):
+        """Stop the running restarts of ``mask`` at iteration ``it``, each
+        for its entry of ``why``."""
         nonlocal live, v, value, grad, step, prev_v, prev_gt
         done = live[mask]
         points[done] = v[mask]
         lengths[done] = it
-        for i in done:
+        for i, reason in zip(done, why):
             reasons[i] = reason
             iterations[i] = it
         keep = ~mask
@@ -244,23 +247,17 @@ def minimize_on_stiefel(fun, v0: np.ndarray, *, max_iterations: int = 300,
         gt = project_tangent(v, grad)
         gn2 = _vdots(gt, gt)
         stop = gradient = np.sqrt(gn2) < gradient_tolerance
-        plateau = None
         if it > PLATEAU_WINDOW:
             past = history[it - PLATEAU_WINDOW - 1]
             if live.size < n:
                 past = past[live]
-            plateau = past - value < PLATEAU_REL * np.maximum(1.0, np.abs(value))
-            stop = gradient | plateau
-        # one test tells whether any restart stops
+            stop = gradient | (past - value < PLATEAU_REL * np.maximum(1.0, np.abs(value)))
+        # one test tells whether any restart stops; one that meets both
+        # tests stops on its gradient
         if any(stop.tolist()):
-            if any(gradient.tolist()):
-                keep = retire(gradient, "gradient", it)
-                gt, gn2 = gt[keep], gn2[keep]
-                if plateau is not None:
-                    plateau = plateau[keep]
-            if plateau is not None and any(plateau.tolist()):
-                keep = retire(plateau, "plateau", it)
-                gt, gn2 = gt[keep], gn2[keep]
+            why = ["gradient" if g else "plateau" for g in gradient[stop].tolist()]
+            keep = retire(stop, why, it)
+            gt, gn2 = gt[keep], gn2[keep]
             if live.size == 0:
                 break
         if prev_v is not None:
@@ -281,7 +278,7 @@ def minimize_on_stiefel(fun, v0: np.ndarray, *, max_iterations: int = 300,
 
         trial_v, step, accepted = _line_search(fun, v, gt, step, value, gn2)
         if accepted is not None:
-            keep = retire(~accepted, "stalled", it)
+            keep = retire(~accepted, repeat("stalled"), it)
             gt, trial_v = gt[keep], trial_v[keep]
             if live.size == 0:
                 break

@@ -144,6 +144,10 @@ class TestPebTest:
         with pytest.raises(ValueError, match="close"):
             r_peb_test([np.eye(2) * 0.5], 1)
 
+    def test_empty_list_rejected(self):
+        with pytest.raises(ValueError, match="at least one Kraus operator"):
+            r_peb_test([], 1)
+
     @pytest.mark.parametrize("p, breaking", [(0.0, False), (0.36, False), (1.0, True)])
     def test_phase_damping(self, p, breaking):
         # full dephasing measures in the computational basis and so breaks

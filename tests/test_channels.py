@@ -609,6 +609,10 @@ class TestEmbedAndTensor:
         with pytest.raises(ValueError, match="close"):
             embed_one_sided([np.eye(2, dtype=complex) * 0.9], 0, (2, 2))
 
+    def test_embed_rejects_empty_list(self):
+        with pytest.raises(ValueError, match="at least one Kraus operator"):
+            embed_one_sided([], 0, (2, 2))
+
     def test_tensor_of_identities_is_identity(self):
         joint = tensor_channels([identity_channel((2,)), identity_channel((2,))])
         assert len(joint) == 1

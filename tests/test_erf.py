@@ -17,11 +17,13 @@ from entlab.erf import (MixingSearchOptions, erf_bounds, erf_minimize,
                         _products_are_rescaled_kraus, _realign, _search_mixings,
                         _search_objective, _split_terms)
 from entlab.linalg import DensityMatrix, LocalDims, kron, kron_all
-from entlab.measures import concurrence, measure_pure, wootters_concurrence
+from entlab.measures import (concurrence, g_concurrence, measure_pure,
+                             wootters_concurrence)
 from entlab.families import (amplitude_damping_kraus, bell_state,
                              bit_flip_correlated, max_entangled_state,
                              phase_damping_kraus, random_local_kraus,
                              random_separable_channel)
+from entlab.roof import _ensemble_objective, _isometry_objective
 from entlab.sampling import (RandomStream, ginibre, random_density, random_isometry,
                              random_pure_state)
 
@@ -336,7 +338,7 @@ class TestSearchObjective:
         ch = make()
         m = len(ch)
         basis = ch.joint_ops.reshape(m, -1) / math.sqrt(ch.dims.total)
-        fun = _search_objective(basis, ch.dims, 100.0)
+        fun = _isometry_objective(_search_objective(ch.dims, 100.0), basis)
         u = np.stack([random_isometry(m + 1, m, RNG.child(15, i)) for i in range(2)])
         _, grad = fun(u, True)
         g = RNG.child(16).generator()
@@ -346,6 +348,30 @@ class TestSearchObjective:
             fd = (np.sum(fun(u + h * d, False)[0]) - np.sum(fun(u - h * d, False)[0])) / (2 * h)
             exact = 2.0 * np.sum(grad.conj() * d).real
             assert abs(fd - exact) < 1e-5 * max(1.0, abs(exact))
+
+    @pytest.mark.parametrize("make", [
+        lambda: tensor_pair(2),
+        local_triple,
+        lambda: embed_one_sided(amplitude_damping_kraus(0.36), 1, (2, 2, 2)),
+    ], ids=["tensor-pair", "2-2-1-triple", "one-sided-party-1"])
+    def test_one_pullback_matches_the_two_part_form(self, make):
+        # the separability gradient accumulates into the roof's member rows
+        # before one pullback; pulled back part by part and summed, as the
+        # two objectives once were, it differs only by rounding
+        ch = make()
+        m, d = len(ch), ch.dims.total
+        basis = ch.joint_ops.reshape(m, -1) / math.sqrt(d)
+        u = np.stack([random_isometry(m + 1, m, RNG.child(15, i)) for i in range(2)])
+        _, grad = _isometry_objective(_search_objective(ch.dims, 100.0), basis)(u, True)
+        n, j = u.shape[:2]
+        rows = (u @ basis).reshape(n * j, -1)
+        _, roof_rows = _ensemble_objective(g_concurrence(d))(rows, n, True)
+        penalty_rows = np.zeros((n * j, d, d), dtype=complex)
+        _split_terms(rows.reshape(-1, d, d), ch.dims, penalty_rows, 100.0)
+        basis_h = basis.conj().T
+        two_part = (roof_rows.reshape(n, j, -1) @ basis_h
+                    + penalty_rows.reshape(n, j, -1) @ basis_h)
+        assert np.linalg.norm(grad - two_part) <= 1e-12 * np.linalg.norm(two_part)
 
 
 class TestErfBounds:

@@ -10,10 +10,10 @@ from entlab.erf import PENALTY_WEIGHTS, _search_objective
 from entlab.families import random_local_kraus
 from entlab.linalg import DensityMatrix, LocalDims
 from entlab.measures import concurrence, g_concurrence, sqrt_three_tangle
-from entlab.roof import _eigenbasis, _ensemble_objective
+from entlab.roof import _eigenbasis, _ensemble_objective, _isometry_objective
 from entlab.sampling import RandomStream, random_density, random_isometry
-from entlab.stiefel import (MAX_STEP, _vdots, minimize_on_stiefel, project_tangent,
-                            qf_retract)
+from entlab.stiefel import (MAX_STEP, PLATEAU_WINDOW, _vdots, minimize_on_stiefel,
+                            project_tangent, qf_retract)
 
 RNG = RandomStream(16180)
 
@@ -28,7 +28,7 @@ def separable_concurrence_case():
     identity isometry maps its eigenbasis to product members, where every
     concurrence and its gradient vanish."""
     rho = DensityMatrix(np.diag([0.6, 0.0, 0.0, 0.4]).astype(complex), (2, 2))
-    fun = _ensemble_objective(concurrence(), _basis(rho))
+    fun = _isometry_objective(_ensemble_objective(concurrence()), _basis(rho))
     starts = [np.eye(4, 2, dtype=complex)]
     starts += [random_isometry(4, 2, RNG.child(0, j)) for j in range(4)]
     return fun, np.stack(starts), 120
@@ -36,7 +36,7 @@ def separable_concurrence_case():
 
 def tangle_case():
     rho = random_density((2, 2, 2), 2, RNG.child(1))
-    fun = _ensemble_objective(sqrt_three_tangle(), _basis(rho), mu=1e-5)
+    fun = _isometry_objective(_ensemble_objective(sqrt_three_tangle(), mu=1e-5), _basis(rho))
     return fun, np.stack([random_isometry(4, 2, RNG.child(1, j)) for j in range(5)]), 80
 
 
@@ -48,7 +48,8 @@ def schmidt_tail_case():
         v = np.kron(g.normal(size=3) + 1j * g.normal(size=3),
                     g.normal(size=3) + 1j * g.normal(size=3))
         mat += w * np.outer(v, v.conj()) / np.vdot(v, v).real
-    fun = _tail_objective(_basis(DensityMatrix(mat, (3, 3))), target=1, d_a=3, d_b=3)
+    fun = _isometry_objective(_tail_objective(target=1, d_a=3, d_b=3),
+                              _basis(DensityMatrix(mat, (3, 3))))
     return fun, np.stack([random_isometry(4, 2, RNG.child(2, j)) for j in range(4)]), 60
 
 
@@ -57,7 +58,7 @@ def g_concurrence_case():
     has zero members, whose adjugates vanish; they and the invertible
     members of the other starts take the same cofactor path."""
     rho = random_density((3, 3), 2, RNG.child(4))
-    fun = _ensemble_objective(g_concurrence(3), _basis(rho))
+    fun = _isometry_objective(_ensemble_objective(g_concurrence(3)), _basis(rho))
     starts = [np.eye(4, 2, dtype=complex)]
     starts += [random_isometry(4, 2, RNG.child(4, j)) for j in range(4)]
     return fun, np.stack(starts), 60
@@ -73,7 +74,8 @@ def erf_case():
         for count in (2, 3)])
     ks = channel.joint_ops
     m = ks.shape[0]
-    fun = _search_objective(ks.reshape(m, 16) / 2.0, channel.dims, PENALTY_WEIGHTS[0])
+    fun = _isometry_objective(_search_objective(channel.dims, PENALTY_WEIGHTS[0]),
+                              ks.reshape(m, 16) / 2.0)
     return fun, np.stack([random_isometry(m, m, RNG.child(5, j)) for j in range(4)]), 40
 
 
@@ -198,6 +200,29 @@ def test_a_stalled_line_search_costs_few_calls():
     stacked = minimize_on_stiefel(fun, starts, max_iterations=budget)
     assert stacked.stop_reasons[0] == "stalled"
     assert all(len(h) > 1 for h in stacked.histories[1:])
+
+
+def test_a_restart_that_meets_both_stop_tests_stops_on_its_gradient():
+    # a nearly flat quadratic plateaus over the window; restart 0's gradient
+    # also vanishes at the window's end, so both of its tests pass at once
+    target = np.eye(4, 2, dtype=complex)
+    grad_calls = [0]
+
+    def fun(v, need_grad):
+        diff = v - target
+        if not need_grad:
+            return 1e-14 * _vdots(diff, diff), None
+        grad = 2e-14 * diff
+        if grad_calls[0] == PLATEAU_WINDOW:
+            grad[0] = 0.0
+        grad_calls[0] += 1
+        return 1e-14 * _vdots(diff, diff), grad
+
+    starts = np.stack([random_isometry(4, 2, RNG.child(7, j)) for j in range(2)])
+    res = minimize_on_stiefel(fun, starts, max_iterations=2 * PLATEAU_WINDOW,
+                              gradient_tolerance=1e-20)
+    assert res.stop_reasons == ("gradient", "plateau")
+    assert res.restart_iterations == (PLATEAU_WINDOW + 1,) * 2
 
 
 @pytest.mark.parametrize("shape", [(1, 4, 2), (5, 9, 3), (8, 6, 6)])
