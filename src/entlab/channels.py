@@ -4,12 +4,18 @@ A separable channel stores each Kraus operator as one square factor per
 party, stacked per party once at construction; the joint operators are the
 tensor products of the factors.  The decay factor
 ``sum_m prod_i |det K_m^(i)|**(2/d_i)`` ties the average output
-entanglement of any SL-invariant measure to the input entanglement, and
-``verify_evolution`` checks that identity outcome by outcome, with every
-branch K_m rho K_m^dag in one stack: a pure input's branches go through one
-polynomial batch, a mixed input's through one density check and one call
-of the measure's exact mixed-state oracle.  The module also holds the JSON
-forms of channels and states.
+entanglement of any SL-invariant measure to the input entanglement.
+
+One function forms the branches K_m psi or K_m rho K_m^dag of a state as one
+stack, and is the one check of the state's dims against the channel's;
+``apply`` and ``outcomes`` read it, and so does one evolution pass, the one
+place that tells pure inputs from mixed ones.  The pass values a pure
+input's branches in one polynomial batch and a mixed input's in one density
+check and one call of the measure's exact mixed-state oracle.
+``verify_evolution`` checks the identity outcome by outcome from the pass;
+the resilience factor's witness bounds read the same pass, which then also
+values the output L(rho).  The module also holds the JSON forms of channels
+and states.
 
 Channels and reports are immutable values.
 """
@@ -199,23 +205,31 @@ def apply_kraus(ops, mat: np.ndarray) -> np.ndarray:
     return np.sum(ks @ mat @ ks.conj().swapaxes(-1, -2), axis=-3, initial=0.0)
 
 
+def _branches(channel: SeparableChannel, state) -> np.ndarray:
+    """The branch stack of ``state`` under ``channel``: K_m psi per operator,
+    an (M, D) stack, for a PureState; K_m rho K_m^dag, an (M, D, D) stack,
+    for a DensityMatrix.  The one check of the state's dims against the
+    channel's."""
+    if state.dims.dims != channel.dims.dims:
+        raise ValueError(f"state dims do not match channel dims: {state.dims.dims} "
+                         f"against {channel.dims.dims}")
+    ks = channel.joint_ops
+    if isinstance(state, PureState):
+        return ks @ state.amps
+    return ks @ state.mat @ ks.conj().swapaxes(-1, -2)
+
+
 def apply(channel: SeparableChannel, rho: DensityMatrix) -> DensityMatrix:
     """Channel action on a density matrix; trace is preserved."""
-    if rho.dims.dims != channel.dims.dims:
-        raise ValueError(
-            f"state dims {rho.dims.dims} do not match channel dims {channel.dims.dims}"
-        )
-    out = apply_kraus(channel.joint_ops, rho.mat)
+    # summed onto +0.0 operator by operator, as apply_kraus sums
+    out = np.sum(_branches(channel, rho), axis=-3, initial=0.0)
     return DensityMatrix(out, rho.dims, unit_trace=rho.unit_trace)
 
 
 def outcomes(channel: SeparableChannel, rho: DensityMatrix) -> OutcomeEnsemble:
     """The ensemble {(p_m, sigma_m)} with p_m sigma_m = K_m rho K_m^dag."""
-    if rho.dims.dims != channel.dims.dims:
-        raise ValueError("state dims do not match channel dims")
-    ks = channel.joint_ops
     outs = []
-    for branch in ks @ rho.mat @ ks.conj().swapaxes(-1, -2):
+    for branch in _branches(channel, rho):
         p = float(np.trace(branch).real)
         if p > NULL_OUTCOME_TOL:
             outs.append(Outcome(p, DensityMatrix(branch / p, rho.dims)))
@@ -236,14 +250,6 @@ def decay_factor(channel: SeparableChannel) -> float:
     return _running_sum(det_weights(channel))
 
 
-def _mixed_entanglement(measure: Measure, rho: DensityMatrix):
-    """Mixed-state value and whether it is exact (the measure's own oracle)
-    or a convex-roof estimate at the default options."""
-    if measure.exact_mixed is not None:
-        return float(measure.exact_mixed(rho.mat[None])[0]), True
-    return convex_roof(measure, rho).value, False
-
-
 def _require_input_entanglement(e_in: float) -> None:
     if e_in <= MIN_INPUT_ENTANGLEMENT:
         raise ValueError(
@@ -252,23 +258,38 @@ def _require_input_entanglement(e_in: float) -> None:
         )
 
 
-def _mixed_pass(channel: SeparableChannel, rho: DensityMatrix, measure: Measure,
-                with_output: bool):
-    """The mixed-state values of :func:`verify_evolution` from one branch
-    stack K_m rho K_m^dag.
+def _evolution_pass(channel: SeparableChannel, rho, measure: Measure,
+                    with_output: bool):
+    """The values behind :func:`verify_evolution` and the resilience
+    factor's witness bounds, from one branch stack of :func:`_branches`.
 
-    The live branches (p_m > 1e-12), normalized, are checked as one stack
-    and, with the measure's oracle, valued together with rho in one call;
-    without one, each gets its own :func:`convex_roof`.  With
-    ``with_output`` the stack also carries L(rho), the branch sum that
-    :func:`apply` returns.  Returns (E(rho), the p_m E(sigma_m) per operator
-    with 0 for null branches, whether every value is exact, E(L(rho)) or
-    None).
+    Returns (E(rho), the p_m E(sigma_m) per operator with 0 for null
+    branches (p_m <= 1e-12), whether every value is exact, E(L(rho)) or
+    None).  A pure input's branches K_m psi are valued exactly in one
+    polynomial batch; with ``with_output``, L(psi psi^dag) as :func:`apply`
+    gives it is valued by the measure's exact mixed-state oracle, else by
+    :func:`convex_roof` at the default options.  A mixed input's live
+    branches, normalized, are checked as one stack and, with the oracle,
+    valued together with rho in one call; without one, each gets its own
+    roof once rho's roof has shown a nonzero input.  With ``with_output``
+    the stack also carries L(rho), the branch sum.
     """
-    if rho.dims.dims != channel.dims.dims:
-        raise ValueError("state dims do not match channel dims")
-    ks = channel.joint_ops
-    branches = ks @ rho.mat @ ks.conj().swapaxes(-1, -2)
+    measure.check_dims(channel.dims)
+    branches = _branches(channel, rho)
+    if isinstance(rho, PureState):
+        e_in = measure_pure(measure, rho)
+        _require_input_entanglement(e_in)
+        if not np.all(np.isfinite(branches)):
+            raise ValueError("amplitudes must be finite")
+        live = _vdots(branches, branches) > NULL_OUTCOME_TOL
+        values = [_value_of_poly(measure, f) if keep else 0.0
+                  for f, keep in zip(measure.eval_poly_batch(branches), live)]
+        if not with_output:
+            return e_in, values, True, None
+        out = apply(channel, rho.density())
+        if measure.exact_mixed is not None:
+            return e_in, values, True, float(measure.exact_mixed(out.mat[None])[0])
+        return e_in, values, False, convex_roof(measure, out).value
     p = branches.diagonal(0, -2, -1).sum(-1).real
     live = p > NULL_OUTCOME_TOL
     mats = branches[live] / p[live, None, None]
@@ -304,21 +325,7 @@ def verify_evolution(channel: SeparableChannel, rho,
     Raises if the input entanglement is <= 1e-8, since the identity presumes
     a nonzero denominator.
     """
-    measure.check_dims(channel.dims)
-    if isinstance(rho, PureState):
-        if rho.dims.dims != channel.dims.dims:
-            raise ValueError("state dims do not match channel dims")
-        e_in = measure_pure(measure, rho)
-        _require_input_entanglement(e_in)
-        branches = channel.joint_ops @ rho.amps
-        if not np.all(np.isfinite(branches)):
-            raise ValueError("amplitudes must be finite")
-        live = _vdots(branches, branches) > NULL_OUTCOME_TOL
-        values = [_value_of_poly(measure, f) if keep else 0.0
-                  for f, keep in zip(measure.eval_poly_batch(branches), live)]
-        exact = True
-    else:
-        e_in, values, exact, _ = _mixed_pass(channel, rho, measure, with_output=False)
+    e_in, values, exact, _ = _evolution_pass(channel, rho, measure, with_output=False)
     total = _running_sum(values)
     weights = det_weights(channel)
     decay = _running_sum(weights)

@@ -69,6 +69,7 @@ def _parse_range(text: str) -> list[float]:
 
 
 def _resolve_measure(name: str, dims: LocalDims) -> Measure:
+    """The named measure, checked against the dims the run uses."""
     if name == "g_concurrence":
         if dims.n_parties != 2 or dims[0] != dims[1]:
             raise ValueError("g_concurrence needs square bipartite dims")
@@ -76,7 +77,9 @@ def _resolve_measure(name: str, dims: LocalDims) -> Measure:
     fixed = {"concurrence": concurrence, "sqrt_three_tangle": sqrt_three_tangle}
     if name not in fixed:
         raise ValueError(f"unknown measure {name!r}")
-    return fixed[name]()
+    measure = fixed[name]()
+    measure.check_dims(dims)
+    return measure
 
 
 def _load_json(path: str) -> dict:
@@ -104,12 +107,21 @@ def _family(table: dict, kind: str, name: str):
     return table[name]
 
 
-def _channel_from_args(args, dims: LocalDims) -> SeparableChannel | None:
-    if args.channel:
-        return _load_channel(args.channel)
-    if args.family:
-        return _family(CHANNEL_FAMILIES, "channel", args.family)(args.param, dims=dims.dims)
-    return None
+def _channel_from_args(args, dims: LocalDims, measure_name: str | None = None
+                       ) -> tuple[SeparableChannel | None, LocalDims, Measure | None]:
+    """The run's channel (None without --channel or --family), the dims the
+    run uses and, given ``measure_name``, the measure checked against them.
+
+    A --channel file fixes the dims, else ``dims`` does; the measure is
+    checked before a family channel is built, so before any draw or search.
+    """
+    channel = _load_channel(args.channel) if args.channel else None
+    if channel is not None:
+        dims = channel.dims
+    measure = _resolve_measure(measure_name, dims) if measure_name else None
+    if channel is None and args.family:
+        channel = _family(CHANNEL_FAMILIES, "channel", args.family)(args.param, dims=dims.dims)
+    return channel, dims, measure
 
 
 def _state_from_args(args):
@@ -159,9 +171,8 @@ def _csv_cell(value) -> str:
 # --- commands ----------------------------------------------------------------
 
 def cmd_verify(args):
-    dims = _parse_dims(args.dims)
-    measure = _resolve_measure(args.measure, dims)
-    fixed_channel = _channel_from_args(args, dims)
+    fixed_channel, dims, measure = _channel_from_args(args, _parse_dims(args.dims),
+                                                      args.measure)
     if fixed_channel is None and not args.random_channel:
         raise ValueError("verify needs --channel, --family or --random-channel")
     if args.trials < 1:
@@ -224,8 +235,7 @@ def cmd_verify(args):
 
 
 def cmd_decay(args):
-    dims = _parse_dims(args.dims)
-    channel = _channel_from_args(args, dims)
+    channel = _channel_from_args(args, _parse_dims(args.dims))[0]
     if channel is None:
         raise ValueError("decay needs --channel or --family")
     diag = validate(channel)
@@ -248,7 +258,10 @@ def cmd_decay(args):
 
 def cmd_erf(args):
     dims = _parse_dims(args.dims)
-    channel = _channel_from_args(args, dims)
+    state = _state_from_args(args)
+    # the bounds, run after the search, need the measure only with a state
+    channel, _, measure = _channel_from_args(
+        args, dims, args.measure if state is not None else None)
     if channel is None:
         raise ValueError("erf needs --channel or --family")
     opts = MixingSearchOptions(
@@ -269,9 +282,7 @@ def cmd_erf(args):
         "decay_given_representation": float(decay_factor(channel)),
         "pass": ok,
     }
-    state = _state_from_args(args)
     if state is not None:
-        measure = _resolve_measure(args.measure, dims)
         bounds = erf_bounds(channel, state, measure)
         summary["lower_bound"] = float(bounds.lower)
         summary["upper_bound"] = float(bounds.upper)

@@ -20,15 +20,15 @@ minimum; infeasible searches are reported, never silently rounded.
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .channels import (SeparableChannel, _mixed_entanglement, _mixed_pass,
-                       _running_sum, apply, apply_kraus, decay_factor,
-                       tensor_channels, verify_evolution)
-from .linalg import PureState, _kron_stacks, as_complex_matrix
+from .channels import (SeparableChannel, _evolution_pass, _running_sum,
+                       apply_kraus, decay_factor, tensor_channels)
+from .linalg import _kron_stacks, as_complex_matrix
 from .measures import Measure, g_concurrence
 from .roof import _ensemble_objective, _search_core, _smoothing_stages
 from .sampling import RandomStream, random_density
@@ -46,35 +46,27 @@ RANK_THRESHOLD = 1e-6
 # ---------------------------------------------------------------------------
 # realignment
 
-def _split_perm(n: int, t: int) -> list[int]:
-    """Axis permutation grouping party t's (row, col) indices first."""
+@functools.cache
+def _realign_index(dims: tuple, t: int) -> np.ndarray:
+    """Flat indices of the realignment R~ of a D x D operator K around party
+    t, R~.flat[i] = K.flat[index.flat[i]]: rows index party t's operator
+    entries, columns the rest's."""
+    n = len(dims)
     rest = [i for i in range(n) if i != t]
-    return [t, n + t] + rest + [n + i for i in rest]
+    d = math.prod(dims)
+    index = np.arange(d * d).reshape(dims + dims).transpose(
+        [t, n + t] + rest + [n + i for i in rest])
+    index = index.reshape(dims[t] ** 2, -1)
+    index.setflags(write=False)
+    return index
 
 
 def _realign(k: np.ndarray, dims, t: int) -> np.ndarray:
     """Rearrange K so rows index party t's operator entries, columns the
     rest; leading axes of K index a stack of operators."""
-    dims = list(dims)
-    n = len(dims)
-    d_t = dims[t]
-    d_rest = math.prod(dims) // d_t
-    lead = list(k.shape[:-2])
-    tensor = k.reshape(lead + dims + dims).transpose(
-        list(range(len(lead))) + [len(lead) + p for p in _split_perm(n, t)])
-    return tensor.reshape(lead + [d_t * d_t, d_rest * d_rest])
-
-
-def _unrealign(r: np.ndarray, dims, t: int) -> np.ndarray:
-    dims = list(dims)
-    n = len(dims)
-    rest = [i for i in range(n) if i != t]
-    shape = [dims[t], dims[t]] + [dims[i] for i in rest] + [dims[i] for i in rest]
-    lead = list(r.shape[:-2])
-    inv = np.argsort(_split_perm(n, t))
-    d = math.prod(dims)
-    return r.reshape(lead + shape).transpose(
-        list(range(len(lead))) + [len(lead) + p for p in inv]).reshape(lead + [d, d])
+    # np.take, not k[..., index]: the contiguous result keeps the rounding
+    # of the matmuls that read it
+    return np.take(k.reshape(*k.shape[:-2], -1), _realign_index(tuple(dims), t), axis=-1)
 
 
 def _cuts(n: int) -> list[int]:
@@ -116,7 +108,9 @@ def _split_terms(kt: np.ndarray, dims, grads=None, weight=1.0) -> np.ndarray:
             lead = u1[:, :, None] * (u1.conj()[:, None, :] @ r)
             g_r = (s1_sq / np.float_power(norms2_ok, 2.0))[:, None, None] * r \
                 - (1.0 / norms2_ok)[:, None, None] * lead
-            grads[ok] += weight * _unrealign(g_r, dims, t)
+            back = np.argsort(_realign_index(tuple(dims), t), axis=None)
+            grads[ok] += weight * np.take(g_r.reshape(len(g_r), -1), back,
+                                          axis=-1).reshape(-1, *kt.shape[1:])
     return terms
 
 
@@ -344,23 +338,14 @@ class ErfBounds:
 def erf_bounds(channel: SeparableChannel, rho, measure: Measure) -> ErfBounds:
     """Lower/upper witnesses E(L(rho))/E(rho) and sum_m p_m E(sigma_m)/E(rho).
 
-    For a pure input the upper one is read from :func:`verify_evolution`'s
-    report.  For a mixed one both come from the same branch stack
-    K_m rho K_m^dag: L(rho) is its sum, checked and valued with the branches.
-    Exact when every mixed evaluation uses the measure's exact mixed-state
-    oracle; otherwise the lower witness rests on a roof upper estimate and
-    the pair is flagged heuristic (``exact=False``).
+    Both are read from one evolution pass over the branches K_m rho K_m^dag
+    (or K_m psi), the pass behind :func:`~entlab.channels.verify_evolution`,
+    which also values the output L(rho).  Exact when every mixed evaluation
+    uses the measure's exact mixed-state oracle; otherwise the pair rests on
+    roof upper estimates and is flagged heuristic (``exact=False``).
     """
-    if isinstance(rho, PureState):
-        report = verify_evolution(channel, rho, measure)
-        e_in, total = report.input_entanglement, report.average_output_entanglement
-        e_out, out_exact = _mixed_entanglement(measure, apply(channel, rho.density()))
-        exact = report.exact and out_exact
-    else:
-        measure.check_dims(channel.dims)
-        e_in, values, exact, e_out = _mixed_pass(channel, rho, measure, with_output=True)
-        total = _running_sum(values)
-    return ErfBounds(lower=e_out / e_in, upper=total / e_in, exact=exact)
+    e_in, values, exact, e_out = _evolution_pass(channel, rho, measure, with_output=True)
+    return ErfBounds(lower=e_out / e_in, upper=_running_sum(values) / e_in, exact=exact)
 
 
 @dataclass(frozen=True)

@@ -13,6 +13,7 @@ from entlab.channels import (SeparableChannel, SeparableKrausOperator, apply,
                              is_random_unitary, outcomes, state_from_json,
                              state_to_json, tensor_channels, validate,
                              verify_evolution)
+from entlab.erf import erf_bounds
 from entlab.linalg import DensityMatrix, LocalDims, PureState, kron_all
 from entlab.measures import (concurrence, g_concurrence, measure_pure,
                              measure_unnormalized, sqrt_three_tangle,
@@ -396,6 +397,20 @@ def composed_mixed(channel, rho, measure=None):
     return (decay, residuals, abs(total - decay * e_in), total, e_in), (lower, total / e_in)
 
 
+def composed_pure(channel, psi, measure):
+    """The pure-input twin of composed_mixed: erf_bounds' witnesses composed
+    from apply() on psi psi^dag, valued by the single-state oracle (or
+    roof), and from verify_evolution's average ratio."""
+    out = apply(channel, psi.density())
+    if measure.exact_mixed is not None:
+        e_out = wootters_concurrence(out)
+    else:
+        e_out = convex_roof(measure, out).value
+    rep = verify_evolution(channel, psi, measure)
+    ratio = rep.average_output_entanglement / rep.input_entanglement
+    return e_out / measure_pure(measure, psi), ratio
+
+
 class TestMixedStack:
     """A mixed input runs as one branch stack: one density check, one oracle
     call, L(rho) as the branch sum; results equal the per-outcome
@@ -494,10 +509,38 @@ class TestMixedStack:
         with pytest.raises(ValueError, match="input entanglement vanishes"):
             erf_bounds(ch, rho, concurrence())
 
-    def test_state_dims_must_match(self):
-        rho = random_density((4,), 2, RNG.child(26).generator())
+    @pytest.mark.parametrize("measure_name", ["concurrence", "sqrt_three_tangle"])
+    def test_pure_bounds_equal_the_output_composition(self, measure_name):
+        """A pure input's bounds come from the same pass: L(psi psi^dag)
+        valued as apply() gives it, the upper witness equal to
+        verify_evolution's ratio, both bitwise."""
+        if measure_name == "concurrence":
+            g = RNG.child(27).generator()
+            ch = random_separable_channel((2, 2), 3, g)
+            psi, measure = random_pure_state((2, 2), g), concurrence()
+            assert measure_pure(measure, psi) > 1e-3
+        else:
+            ch = embed_one_sided(amplitude_damping_kraus(0.3), 0, (2, 2, 2))
+            psi, measure = ghz_state(), sqrt_three_tangle()
+        lower, upper = composed_pure(ch, psi, measure)
+        b = erf_bounds(ch, psi, measure)
+        assert b.exact == (measure.exact_mixed is not None)
+        assert (b.lower.hex(), b.upper.hex()) == (lower.hex(), upper.hex())
+
+    @pytest.mark.parametrize("call, pure", [
+        (lambda ch, s: verify_evolution(ch, s, concurrence()), False),
+        (lambda ch, s: verify_evolution(ch, s, concurrence()), True),
+        (apply, False),
+        (outcomes, False),
+        (lambda ch, s: erf_bounds(ch, s, concurrence()), False),
+        (lambda ch, s: erf_bounds(ch, s, concurrence()), True),
+    ], ids=["verify_evolution-mixed", "verify_evolution-pure", "apply", "outcomes",
+            "erf_bounds-mixed", "erf_bounds-pure"])
+    def test_state_dims_must_match(self, call, pure):
+        g = RNG.child(26).generator()
+        rho = random_pure_state((4,), g) if pure else random_density((4,), 2, g)
         with pytest.raises(ValueError, match="state dims do not match channel dims"):
-            verify_evolution(identity_channel((2, 2)), rho, concurrence())
+            call(identity_channel((2, 2)), rho)
 
 
 class TestRandomUnitaryDetection:

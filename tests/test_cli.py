@@ -9,10 +9,12 @@ import sys
 import numpy as np
 import pytest
 
-from entlab.channels import channel_to_json, state_from_json, state_to_json
+from entlab.channels import (channel_to_json, embed_one_sided, state_from_json,
+                             state_to_json)
 from entlab import cli
 from entlab.cli import main
-from entlab.families import bell_state, bit_flip_correlated, werner_state
+from entlab.families import (amplitude_damping_kraus, bell_state, bit_flip_correlated,
+                             ghz_state, werner_state)
 
 
 @pytest.fixture()
@@ -191,6 +193,26 @@ class TestExitCodes:
         assert len(errors) == 1 and repr(text) in errors[0]
         assert str(cli.MAX_RANGE_POINTS) in errors[0]
 
+    @pytest.mark.parametrize("args", [
+        ["verify", "--random-channel", "--dims", ",".join(["2"] * 11), "--kraus", "8"],
+        ["verify", "--family", "depolarizing", "--dims", ",".join(["2"] * 11)],
+        ["erf", "--family", "amplitude-damping", "--dims", "2,2,2", "--state-family", "bell"],
+    ], ids=["verify-eleven-qubits", "verify-family-eleven-qubits",
+            "erf-bounds-on-three-qubits"])
+    def test_a_measure_that_misfits_the_dims_fails_before_any_draw_or_search(
+            self, args, monkeypatch, capsys):
+        def refuse(*args, **kwargs):
+            raise AssertionError("a channel was built, drawn or searched")
+
+        monkeypatch.setattr(cli, "random_separable_channel", refuse)
+        monkeypatch.setattr(cli, "erf_minimize", refuse)
+        monkeypatch.setattr(cli, "CHANNEL_FAMILIES",
+                            {name: refuse for name in cli.CHANNEL_FAMILIES})
+        assert run(args) == 2
+        errors = [line for line in capsys.readouterr().err.splitlines()
+                  if line.startswith("entlab: ")]
+        assert len(errors) == 1 and "requires local dimensions (2, 2)" in errors[0]
+
     def test_malformed_pure_state_entry_is_usage_error(self, bitflip_file, tmp_path):
         path = tmp_path / "bad_state.json"
         path.write_text(json.dumps({"dims": [2, 2], "type": "pure",
@@ -234,6 +256,36 @@ class TestDeterminism:
 
     def test_verify_requires_a_channel_source(self):
         assert run(["verify", "--trials", "1"]) == 2
+
+
+class TestChannelFileDims:
+    """A channel file fixes the dims a run uses: the measure is checked
+    against them, and drawn inputs have them, whatever --dims says."""
+
+    @pytest.fixture()
+    def three_qubit_files(self, tmp_path):
+        channel = tmp_path / "damping.json"
+        channel.write_text(json.dumps(channel_to_json(
+            embed_one_sided(amplitude_damping_kraus(0.3), 0, (2, 2, 2)))))
+        state = tmp_path / "ghz.json"
+        state.write_text(json.dumps(state_to_json(ghz_state())))
+        return str(channel), str(state)
+
+    @pytest.mark.parametrize("command, with_state", [
+        (["verify"], True),
+        (["erf", "--restarts", "1", "--max-iterations", "5"], True),
+        (["verify", "--trials", "2"], False),
+    ], ids=["verify", "erf", "verify-drawn-inputs"])
+    def test_three_qubit_file_runs_without_dims(self, three_qubit_files, command,
+                                                with_state, tmp_path):
+        channel, state = three_qubit_files
+        out = tmp_path / "report.json"
+        argv = command + ["--channel", channel, "--measure", "sqrt_three_tangle",
+                          "--out", str(out)]
+        if with_state:
+            argv += ["--state", state]
+        assert run(argv) == 0
+        assert read_report(out)["summary"]["pass"] is True
 
 
 class TestOtherCommands:
